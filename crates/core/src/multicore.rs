@@ -239,7 +239,6 @@ fn run_core_shards(
     let fault_plan = &opts.fault_plan;
     let (protection, policy, watchdog, deadline) =
         (opts.protection, opts.policy, opts.watchdog, opts.deadline);
-    let force_precise = opts.force_precise;
     let profile = opts.profile;
     run_indexed(opts.sched, parts.len(), move |idx| {
         let (ra, rb) = parts[idx].clone();
@@ -257,7 +256,6 @@ fn run_core_shards(
             watchdog,
             deadline,
             observer,
-            force_precise,
             profile,
             sched: HostSched::Sequential,
         };

@@ -119,11 +119,6 @@ pub enum SimError {
         /// Extension-local opcode.
         op: u16,
     },
-    /// A FLIX bundle contains an instruction not eligible for a slot.
-    SlotIneligible {
-        /// Program counter of the bundle.
-        pc: u32,
-    },
     /// Two operations in one bundle wrote the same state — a structural
     /// hazard that the TIE verification flow is meant to catch.
     WriteConflict {
@@ -177,12 +172,6 @@ impl fmt::Display for SimError {
                 write!(f, "extension op at {pc:#010x} but no extension attached")
             }
             SimError::UnknownExtOp { op } => write!(f, "unknown extension op {op}"),
-            SimError::SlotIneligible { pc } => {
-                write!(
-                    f,
-                    "bundle at {pc:#010x} contains a slot-ineligible instruction"
-                )
-            }
             SimError::WriteConflict { state } => {
                 write!(
                     f,
@@ -222,7 +211,6 @@ mod tests {
             },
             SimError::NoExtension { pc: 0 },
             SimError::UnknownExtOp { op: 7 },
-            SimError::SlotIneligible { pc: 0 },
             SimError::WriteConflict { state: "RESULT" },
             SimError::MaxCyclesExceeded { budget: 10 },
             SimError::BadProgram("x".into()),

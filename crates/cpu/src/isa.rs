@@ -650,14 +650,20 @@ impl Instr {
 
     /// Registers read by this instruction (up to three).
     pub fn src_regs(&self) -> Vec<Reg> {
+        let mut regs = Vec::new();
+        self.for_each_src_reg(&mut |r| regs.push(r));
+        regs
+    }
+
+    /// Calls `f` on each register [`Self::src_regs`] lists, in the same
+    /// order, without allocating.
+    pub(crate) fn for_each_src_reg(&self, f: &mut impl FnMut(Reg)) {
         match *self {
             Instr::Movi { .. }
             | Instr::J { .. }
             | Instr::Call0 { .. }
             | Instr::Nop
-            | Instr::Halt => {
-                vec![]
-            }
+            | Instr::Halt => {}
             Instr::Add { s, t, .. }
             | Instr::Addx4 { s, t, .. }
             | Instr::Sub { s, t, .. }
@@ -671,7 +677,10 @@ impl Instr {
             | Instr::Max { s, t, .. }
             | Instr::Minu { s, t, .. }
             | Instr::Maxu { s, t, .. }
-            | Instr::Branch { s, t, .. } => vec![s, t],
+            | Instr::Branch { s, t, .. } => {
+                f(s);
+                f(t);
+            }
             Instr::Addi { s, .. }
             | Instr::Slli { s, .. }
             | Instr::Srli { s, .. }
@@ -681,15 +690,19 @@ impl Instr {
             | Instr::Beqz { s, .. }
             | Instr::Bnez { s, .. }
             | Instr::Jx { s }
-            | Instr::Loop { s, .. } => vec![s],
-            Instr::Store { t, s, .. } => vec![t, s],
-            Instr::Ret => vec![regs::A0],
+            | Instr::Loop { s, .. } => f(s),
+            Instr::Store { t, s, .. } => {
+                f(t);
+                f(s);
+            }
+            Instr::Ret => f(regs::A0),
             Instr::Ext(ExtOp { args, .. }) => {
                 // Conservative: both fields may be read; exact roles come
                 // from the extension's OpInfo at execution time.
-                vec![Reg(args.r & 15), Reg(args.s & 15)]
+                f(Reg(args.r & 15));
+                f(Reg(args.s & 15));
             }
-            Instr::Flix(ref slots) => slots.iter().flat_map(|i| i.src_regs()).collect(),
+            Instr::Flix(ref slots) => slots.iter().for_each(|i| i.for_each_src_reg(f)),
         }
     }
 }

@@ -24,10 +24,10 @@
 //! [`ext::Extension`]; this crate stays application-agnostic.
 
 pub mod config;
+pub(crate) mod decode;
 pub mod encode;
 pub mod error;
 pub mod ext;
-pub(crate) mod fastpath;
 pub mod isa;
 pub mod memsys;
 pub mod observe;

@@ -12,11 +12,11 @@ use std::collections::{BTreeMap, HashMap};
 
 /// How the processor attributes cycles to addresses during a run.
 ///
-/// `Precise` records every retired instruction — exact, but it forces
-/// the precise per-step run loop. `Sampled` records only when the cycle
-/// clock crosses a sampling threshold, attributing the whole gap since
-/// the previous sample to the instruction executing at the crossing;
-/// it keeps the fast path eligible. Error bound: the sampled profile's
+/// `Precise` records every retired instruction — exact, at the price of
+/// a map update per step. `Sampled` records only when the cycle clock
+/// crosses a sampling threshold, attributing the whole gap since the
+/// previous sample to the instruction executing at the crossing; per
+/// step it costs one compare. Error bound: the sampled profile's
 /// `total_cycles` is within one `period` of the run's true cycle count,
 /// and each sample's `execs` counts *sample hits* (∝ cycles spent), not
 /// retirements.
@@ -25,9 +25,9 @@ pub enum ProfileMode {
     /// No profiling (the default).
     #[default]
     Off,
-    /// Exact per-instruction attribution (precise loop only).
+    /// Exact per-instruction attribution.
     Precise,
-    /// One sample per `period` simulated cycles (fast-path safe).
+    /// One sample per `period` simulated cycles.
     Sampled {
         /// Sampling period in simulated cycles (clamped to ≥ 1).
         period: u64,

@@ -3,17 +3,19 @@
 //! A [`Program`] is a laid-out sequence of decoded instructions with byte
 //! addresses starting at a base address — [`IMEM_BASE`] unless the builder
 //! placed it elsewhere in instruction memory with
-//! [`ProgramBuilder::with_base`]. The simulator fetches decoded
-//! instructions directly (a decode cache, in hardware terms); the binary
-//! image produced by [`crate::encode`] is what occupies instruction memory
-//! and what the assembler/disassembler operate on.
+//! [`ProgramBuilder::with_base`]. [`ProgramBuilder::build`] also decodes
+//! every instruction once into the simulator's step table (see
+//! `crate::decode`), so the step loop never re-decodes (a decode cache,
+//! in hardware terms); the binary image produced by [`crate::encode`] is
+//! what occupies instruction memory and what the assembler/disassembler
+//! operate on.
 //!
 //! Every address a program reports — [`Program::addr_of`], labels,
 //! diagnostics from the static analyzer — is an absolute byte PC. The only
-//! `(pc - base) / 4` arithmetic lives here (the fetch slot table) and in
-//! the fast-path engine's block cache, both parameterized on the same
-//! [`Program::entry`] value.
+//! `(pc - base) / 4` arithmetic lives here, in the slot table that maps a
+//! PC to its instruction and decoded step.
 
+use crate::decode::{decode, Step};
 use crate::error::SimError;
 use crate::isa::{BranchCond, ExtOp, Instr, LsWidth, Reg};
 use std::collections::HashMap;
@@ -38,8 +40,9 @@ const NO_SLOT: u32 = u32::MAX;
 pub struct Program {
     /// Instructions in layout order.
     code: Vec<Instr>,
-    /// Byte address of each instruction (parallel to `code`).
-    addrs: Vec<u32>,
+    /// Decoded simulator step of each instruction (parallel to `code`),
+    /// including its byte address.
+    steps: Vec<Step>,
     /// Instruction index for each word slot (`(addr - base) / 4`);
     /// [`NO_SLOT`] marks slots that are not an instruction boundary (the
     /// second word of a wide instruction). A dense sentinel table instead
@@ -78,21 +81,34 @@ impl Program {
     /// Fetches the instruction at `pc`.
     #[inline]
     pub fn fetch(&self, pc: u32) -> Result<&Instr, SimError> {
+        self.index_of(pc).map(|ix| &self.code[ix])
+    }
+
+    /// Layout index of the instruction starting at `pc`; `BadPc` when
+    /// `pc` is not an instruction boundary of this program.
+    #[inline]
+    pub(crate) fn index_of(&self, pc: u32) -> Result<usize, SimError> {
         let slot = pc.wrapping_sub(self.base) / 4;
         match self.slot_index.get(slot as usize) {
-            Some(&ix) if ix != NO_SLOT && pc.is_multiple_of(4) => Ok(&self.code[ix as usize]),
+            Some(&ix) if ix != NO_SLOT && pc.is_multiple_of(4) => Ok(ix as usize),
             _ => Err(SimError::BadPc { pc }),
         }
     }
 
+    /// The decoded step and the instruction at layout index `ix`.
+    #[inline]
+    pub(crate) fn step(&self, ix: usize) -> (&Step, &Instr) {
+        (&self.steps[ix], &self.code[ix])
+    }
+
     /// Byte address of instruction `ix` in layout order.
     pub fn addr_of(&self, ix: usize) -> u32 {
-        self.addrs[ix]
+        self.steps[ix].pc
     }
 
     /// Iterates over `(address, instruction)` pairs in layout order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Instr)> {
-        self.addrs.iter().copied().zip(self.code.iter())
+        self.steps.iter().map(|s| s.pc).zip(self.code.iter())
     }
 
     /// Address of a label, if defined.
@@ -522,9 +538,15 @@ impl ProgramBuilder {
             slot_index[((a - self.base) / 4) as usize] = ix as u32;
         }
 
+        let steps = addrs
+            .iter()
+            .zip(&self.code)
+            .map(|(&a, i)| decode(a, i))
+            .collect();
+
         Ok(Program {
             code: self.code,
-            addrs,
+            steps,
             slot_index,
             labels: label_addr,
             size,

@@ -15,9 +15,9 @@
 //! * the data prefetcher ticks concurrently with every core cycle.
 
 use crate::config::CpuConfig;
+use crate::decode::{Bundle, Step};
 use crate::error::{FaultCause, MachineFault, SimError};
 use crate::ext::{Extension, TieCtx};
-use crate::fastpath::{FastBlock, FastEngine, FastKind, FastStep};
 use crate::isa::{Instr, LsWidth, Reg};
 use crate::memsys::MemorySystem;
 use crate::predictor::Predictor;
@@ -27,7 +27,7 @@ use crate::queue::TieQueue;
 use crate::stats::{EventCounters, RunStats};
 use crate::trace::Trace;
 use dbx_faults::{FaultKind, FaultPlan, FaultTarget};
-use dbx_mem::{MemError, ProtectionKind, Width};
+use dbx_mem::{MemError, Width};
 use std::sync::Arc;
 
 /// Hardware-loop registers (LBEG/LEND/LCOUNT).
@@ -86,12 +86,6 @@ pub struct Processor {
     /// extension state, DMAC) — memory-side injections are counted by the
     /// local memories themselves.
     injected_direct: u64,
-    /// Lazily-built basic-block decode cache for the fast-path run loop;
-    /// dropped whenever a program is (re)loaded.
-    fast: Option<FastEngine>,
-    /// Pins [`Self::run`] to the precise step loop even when every
-    /// fast-path eligibility condition holds (differential testing knob).
-    force_precise: bool,
 }
 
 impl Processor {
@@ -122,17 +116,7 @@ impl Processor {
             fault_plan: None,
             watchdog: None,
             injected_direct: 0,
-            fast: None,
-            force_precise: false,
         })
-    }
-
-    /// Pins every subsequent [`Self::run`] to the precise step loop.
-    /// The fast path is bit-identical by contract — this knob exists so
-    /// the differential test suite (and a wary user) can *prove* it on
-    /// any workload by running both paths and comparing.
-    pub fn set_force_precise(&mut self, on: bool) {
-        self.force_precise = on;
     }
 
     /// Installs a deterministic fault-injection plan. Each event fires at
@@ -202,11 +186,11 @@ impl Processor {
     }
 
     /// Selects how subsequent runs attribute cycles to addresses.
-    /// [`ProfileMode::Precise`] records every retired instruction and
-    /// forces the precise loop; [`ProfileMode::Sampled`] records one
-    /// sample per `period` cycles and stays fast-path eligible (the
-    /// sampled totals are within one period of the precise run's — see
-    /// `tests/fast_path.rs` for the differential check).
+    /// [`ProfileMode::Precise`] records every retired instruction;
+    /// [`ProfileMode::Sampled`] records one sample per `period` cycles,
+    /// a threshold compare per step instead of a map update (the sampled
+    /// totals are within one period of the precise run's — see
+    /// `tests/fast_path.rs` for the check).
     pub fn set_profile_mode(&mut self, mode: ProfileMode) {
         match mode {
             ProfileMode::Off => {
@@ -295,9 +279,6 @@ impl Processor {
         }
         self.pc = p.entry();
         self.program = Some(p);
-        // Conservative invalidation: any (re)load drops every decoded
-        // block, even when the same program object is reloaded.
-        self.fast = None;
         self.reset_run_state();
         Ok(())
     }
@@ -350,11 +331,17 @@ impl Processor {
     /// before the instruction issues. Detected hardware upsets (parity,
     /// uncorrectable ECC, failed DMA) surface as a precise
     /// [`SimError::Fault`] carrying the pc and cycle of the faulting
-    /// instruction.
+    /// instruction. The watchdog is [`Self::run`]'s alone.
     pub fn step(&mut self) -> Result<StepOutcome, SimError> {
         self.apply_due_faults();
+        if self.halted {
+            return Ok(StepOutcome::Halted);
+        }
         let pc = self.pc;
-        self.step_inner().map_err(|e| self.promote_fault(pc, e))
+        let program = self.program.clone().ok_or(SimError::BadPc { pc })?;
+        let (step, instr) = program.step(program.index_of(pc)?);
+        self.exec_step(step, instr)
+            .map_err(|e| self.promote_fault(pc, e))
     }
 
     /// Fires every fault-plan event whose cycle stamp has been reached.
@@ -427,23 +414,15 @@ impl Processor {
         })
     }
 
-    fn step_inner(&mut self) -> Result<StepOutcome, SimError> {
-        if self.halted {
-            return Ok(StepOutcome::Halted);
-        }
-        let program = self
-            .program
-            .clone()
-            .ok_or(SimError::BadPc { pc: self.pc })?;
-        let pc = self.pc;
-        let instr = program.fetch(pc)?;
-
+    /// Executes one decoded step: the load-use interlock, the
+    /// instruction itself, then the shared commit in `finish_step`.
+    fn exec_step(&mut self, step: &Step, instr: &Instr) -> Result<StepOutcome, SimError> {
         self.mem.begin_cycle();
         let mut cycles: u64 = 1;
 
         // Load-use interlock from the previous instruction.
         if let Some(dep) = self.pending_load {
-            if instr.src_regs().contains(&dep) {
+            if step.src_mask >> (dep.idx() & 15) & 1 != 0 {
                 cycles += 1;
                 self.counters.stall_load_use += 1;
                 // The prefetcher keeps running during the stall.
@@ -452,18 +431,38 @@ impl Processor {
         }
         self.pending_load = None;
 
-        let mut next_pc = pc + instr.size();
+        let mut next_pc = step.fall_through;
         let mut halted = false;
         self.counters.instrs += 1;
-        self.exec_instr(pc, instr, &mut cycles, &mut next_pc, &mut halted)?;
-        self.finish_step(pc, cycles, next_pc, halted)
+        match &step.bundle {
+            Some(bundle) => self.exec_bundle(step.pc, bundle, &mut cycles)?,
+            None => self.exec_instr(step.pc, instr, &mut cycles, &mut next_pc, &mut halted)?,
+        }
+        self.finish_step(step.pc, cycles, next_pc, halted)
     }
 
-    /// Executes one decoded instruction: the shared interpreter arm used
-    /// by both the precise step loop and (for non-specialized steps) the
-    /// fast path. Everything around it — interlock, hardware-loop
-    /// back-edge, ECC stalls, prefetcher tick, trace/profile, commit — is
-    /// the caller's job.
+    /// Issues a decoded FLIX bundle: the extension group against the
+    /// pre-cycle register file, then the base-slot `ADDI`s (they never
+    /// feed the extension ops within the same bundle).
+    fn exec_bundle(&mut self, pc: u32, bundle: &Bundle, cycles: &mut u64) -> Result<(), SimError> {
+        if !self.cfg.has_flix {
+            return Err(SimError::OptionMissing { pc, option: "flix" });
+        }
+        self.counters.flix_bundles += 1;
+        if !bundle.ext_ops.is_empty() {
+            *cycles += self.exec_ext_group(pc, &bundle.ext_ops)? as u64;
+        }
+        for &(r, s, imm) in bundle.addis.iter() {
+            let v = self.ar_rd(s).wrapping_add(imm as i32 as u32);
+            self.ar_wr(r, v);
+            self.counters.alu_ops += 1;
+        }
+        Ok(())
+    }
+
+    /// Executes one non-bundle instruction. Everything around it —
+    /// interlock, hardware-loop back-edge, ECC stalls, prefetcher tick,
+    /// trace/profile, commit — is [`Self::exec_step`]'s job.
     fn exec_instr(
         &mut self,
         pc: u32,
@@ -622,44 +621,14 @@ impl Processor {
             Instr::Ext(op) => {
                 *cycles += self.exec_ext_group(pc, &[(op.op, op.args)])? as u64;
             }
-            Instr::Flix(slots) => {
-                if !self.cfg.has_flix {
-                    return Err(SimError::OptionMissing { pc, option: "flix" });
-                }
-                self.counters.flix_bundles += 1;
-                let mut ext_ops = Vec::with_capacity(slots.len());
-                let mut base_ops: Vec<Instr> = Vec::new();
-                for s in slots.iter() {
-                    match s {
-                        Instr::Ext(e) => ext_ops.push((e.op, e.args)),
-                        Instr::Nop => {}
-                        other if other.slot_eligible() => base_ops.push(other.clone()),
-                        _ => return Err(SimError::SlotIneligible { pc }),
-                    }
-                }
-                // Extension ops observe the pre-cycle AR values; base slot
-                // ALU ops commit after (they never feed the ext ops within
-                // the same bundle).
-                if !ext_ops.is_empty() {
-                    *cycles += self.exec_ext_group(pc, &ext_ops)? as u64;
-                }
-                for b in base_ops {
-                    if let Instr::Addi { r, s, imm } = b {
-                        let v = self.ar_rd(s).wrapping_add(imm as i32 as u32);
-                        self.ar_wr(r, v);
-                        self.counters.alu_ops += 1;
-                    }
-                }
-            }
+            Instr::Flix(_) => unreachable!("bundles execute from their decoded step"),
         }
         Ok(())
     }
 
     /// Commits one step: applies the hardware-loop back-edge, drains the
     /// SECDED decode stalls, ticks the prefetcher, records trace/profile
-    /// samples, advances the cycle clock and the PC. Shared verbatim by
-    /// the precise and fast paths so their per-step timing is identical
-    /// by construction.
+    /// samples, advances the cycle clock and the PC.
     #[inline]
     fn finish_step(
         &mut self,
@@ -763,191 +732,87 @@ impl Processor {
     /// Fault counters are harvested into [`Self::counters`] on every exit
     /// path, including faults.
     ///
-    /// Eligibility is checked once, here: a run with no observer hooks
-    /// (trace/profile), no watchdog, no pending fault plan and no
-    /// protected local store executes on the fast path — pre-decoded
-    /// basic blocks through the same `exec_instr`/`finish_step` pair the
-    /// precise loop uses, so results, cycles, counters and faults are
-    /// bit-identical by construction (see DESIGN.md and
-    /// `tests/fast_path.rs`). Anything else, or [`Self::set_force_precise`],
-    /// falls back to the precise per-step loop.
+    /// Every run takes the same loop over the program's decoded steps.
+    /// The cycle budget, the watchdog and the next fault-plan event fold
+    /// into one per-step compare against the earliest of them; only when
+    /// it fires does the loop work out which one is due.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunStats, SimError> {
-        if self.fast_path_eligible() {
-            self.run_fast(max_cycles)
-        } else {
-            self.run_precise(max_cycles)
-        }
+        let result = self.run_steps(max_cycles);
+        self.harvest_fault_counters();
+        result.map(|()| RunStats {
+            cycles: self.cycles,
+            halted: true,
+            counters: self.counters.clone(),
+        })
     }
 
-    /// Whether this run can take the fast path. Every condition here is
-    /// an invariant of the specialized loop: no per-step fault injection,
-    /// no mid-run watchdog check, no trace recording, no *precise*
-    /// profiling (sampled profiling is a cheap threshold compare in the
-    /// shared `finish_step` and stays eligible), and no SECDED/parity
-    /// protection state on the local stores.
+    /// Always `true`: every run takes the one decoded-step loop. Kept so
+    /// callers that report which engine ran keep compiling.
     pub fn fast_path_eligible(&self) -> bool {
-        !self.force_precise
-            && self.watchdog.is_none()
-            && self.trace.is_none()
-            && (self.profile.is_none() || self.sample_period.is_some())
-            && self.fault_plan.as_ref().is_none_or(|p| p.is_empty())
-            && self.mem.dmem_protection() == ProtectionKind::None
+        true
     }
 
-    /// The precise per-step run loop (the original engine, unchanged).
-    fn run_precise(&mut self, max_cycles: u64) -> Result<RunStats, SimError> {
-        while self.cycles < max_cycles {
-            if let Some(budget) = self.watchdog {
-                if self.cycles >= budget {
-                    self.harvest_fault_counters();
+    /// The earliest cycle at which [`Self::run_steps`] must leave its
+    /// straight path: the cycle budget, the watchdog budget or the next
+    /// pending fault-plan event (the plan is sorted by cycle).
+    fn event_limit(&self, max_cycles: u64) -> u64 {
+        let next_fault = self
+            .fault_plan
+            .as_ref()
+            .and_then(|p| p.events().first())
+            .map_or(u64::MAX, |ev| ev.cycle);
+        max_cycles
+            .min(self.watchdog.unwrap_or(u64::MAX))
+            .min(next_fault)
+    }
+
+    /// The run loop: executes decoded steps until `HALT`. A committed PC
+    /// equal to the step's fall-through selects the next step in layout
+    /// order; any other PC (taken branch, jump, hardware-loop back-edge)
+    /// costs one slot-table lookup.
+    fn run_steps(&mut self, max_cycles: u64) -> Result<(), SimError> {
+        if self.halted {
+            return Ok(());
+        }
+        let program = self
+            .program
+            .clone()
+            .ok_or(SimError::BadPc { pc: self.pc })?;
+        let mut limit = self.event_limit(max_cycles);
+        // Layout index of the step at `self.pc`, when known.
+        let mut next = usize::MAX;
+        loop {
+            if self.cycles >= limit {
+                if self.cycles >= max_cycles {
+                    return Err(SimError::MaxCyclesExceeded { budget: max_cycles });
+                }
+                if let Some(budget) = self.watchdog.filter(|&b| self.cycles >= b) {
                     return Err(SimError::Fault(MachineFault {
                         pc: self.pc,
                         cycle: self.cycles,
                         cause: FaultCause::Watchdog { budget },
                     }));
                 }
+                self.apply_due_faults();
+                limit = self.event_limit(max_cycles);
             }
-            match self.step() {
-                Ok(StepOutcome::Halted) => {
-                    self.harvest_fault_counters();
-                    return Ok(RunStats {
-                        cycles: self.cycles,
-                        halted: true,
-                        counters: self.counters.clone(),
-                    });
-                }
+            let ix = if next < program.len() {
+                next
+            } else {
+                program.index_of(self.pc)?
+            };
+            let (step, instr) = program.step(ix);
+            match self.exec_step(step, instr) {
                 Ok(StepOutcome::Continue) => {}
-                Err(e) => {
-                    self.harvest_fault_counters();
-                    return Err(e);
-                }
+                Ok(StepOutcome::Halted) => return Ok(()),
+                Err(e) => return Err(self.promote_fault(step.pc, e)),
             }
+            next = if self.pc == step.fall_through {
+                ix + 1
+            } else {
+                usize::MAX
+            };
         }
-        self.harvest_fault_counters();
-        Err(SimError::MaxCyclesExceeded { budget: max_cycles })
-    }
-
-    /// The block entered at the current PC, decoding (and caching) it on
-    /// first use.
-    fn fast_block_at(&mut self, pc: u32) -> Result<Arc<FastBlock>, SimError> {
-        // Disjoint field borrows: the program stays borrowed shared while
-        // the engine is borrowed mutably — no `Arc` clone per lookup.
-        let program = self.program.as_ref().ok_or(SimError::BadPc { pc })?;
-        let engine = self
-            .fast
-            .get_or_insert_with(|| FastEngine::new(program.entry(), program.size_bytes()));
-        engine.block(program, pc, self.cfg.has_flix)
-    }
-
-    /// The fast-path run loop: executes pre-decoded basic blocks with the
-    /// per-step program lookups hoisted out. Exit paths (halt, budget,
-    /// error promotion, counter harvest) mirror [`Self::run_precise`]
-    /// exactly; the per-step semantics are shared code (`exec_instr` +
-    /// `finish_step`).
-    fn run_fast(&mut self, max_cycles: u64) -> Result<RunStats, SimError> {
-        // One-entry block memo: a hardware loop (or any tight loop whose
-        // body is one block) re-enters the same block every iteration, so
-        // keeping the current block across outer iterations makes the
-        // hottest edge free of both the cache lookup and all `Arc`
-        // traffic; a control transfer elsewhere pays one lookup.
-        let mut cur: Option<(u32, Arc<FastBlock>)> = None;
-        'outer: loop {
-            if self.cycles >= max_cycles {
-                self.harvest_fault_counters();
-                return Err(SimError::MaxCyclesExceeded { budget: max_cycles });
-            }
-            if self.halted {
-                self.harvest_fault_counters();
-                return Ok(RunStats {
-                    cycles: self.cycles,
-                    halted: true,
-                    counters: self.counters.clone(),
-                });
-            }
-            if !matches!(&cur, Some((pc, _)) if *pc == self.pc) {
-                match self.fast_block_at(self.pc) {
-                    Ok(b) => cur = Some((self.pc, b)),
-                    Err(e) => {
-                        let e = self.promote_fault(self.pc, e);
-                        self.harvest_fault_counters();
-                        return Err(e);
-                    }
-                }
-            }
-            let (_, block) = cur.as_ref().expect("block memoized above");
-            for (i, step) in block.steps.iter().enumerate() {
-                // The budget gates every step; the outer loop already
-                // checked it for the block's first step.
-                if i > 0 && self.cycles >= max_cycles {
-                    self.harvest_fault_counters();
-                    return Err(SimError::MaxCyclesExceeded { budget: max_cycles });
-                }
-                match self.exec_fast_step(step) {
-                    Ok(StepOutcome::Continue) => {}
-                    Ok(StepOutcome::Halted) => {
-                        self.harvest_fault_counters();
-                        return Ok(RunStats {
-                            cycles: self.cycles,
-                            halted: true,
-                            counters: self.counters.clone(),
-                        });
-                    }
-                    Err(e) => {
-                        let e = self.promote_fault(step.pc, e);
-                        self.harvest_fault_counters();
-                        return Err(e);
-                    }
-                }
-                // A committed PC that is not the static fall-through means
-                // a taken branch/jump or a hardware-loop back-edge:
-                // re-enter through the block cache.
-                if self.pc != step.fall_through {
-                    continue 'outer;
-                }
-            }
-        }
-    }
-
-    /// Executes one pre-decoded step: the fast-path twin of
-    /// [`Self::step_inner`], with the fetch and operand-set computation
-    /// done at decode time. Specialized bundles inline the FLIX issue
-    /// order (extension group against pre-cycle ARs, then base `ADDI`s);
-    /// everything else goes through the shared interpreter arm.
-    fn exec_fast_step(&mut self, step: &FastStep) -> Result<StepOutcome, SimError> {
-        self.mem.begin_cycle();
-        let mut cycles: u64 = 1;
-
-        // Load-use interlock from the previous instruction.
-        if let Some(dep) = self.pending_load {
-            if step.src_mask >> (dep.idx() & 15) & 1 != 0 {
-                cycles += 1;
-                self.counters.stall_load_use += 1;
-                // The prefetcher keeps running during the stall.
-                self.mem.tick_prefetcher()?;
-            }
-        }
-        self.pending_load = None;
-
-        let mut next_pc = step.fall_through;
-        let mut halted = false;
-        self.counters.instrs += 1;
-        match &step.kind {
-            FastKind::Instr(instr) => {
-                self.exec_instr(step.pc, instr, &mut cycles, &mut next_pc, &mut halted)?;
-            }
-            FastKind::Bundle { ext_ops, addis } => {
-                self.counters.flix_bundles += 1;
-                if !ext_ops.is_empty() {
-                    cycles += self.exec_ext_group(step.pc, ext_ops)? as u64;
-                }
-                for &(r, s, imm) in addis.iter() {
-                    let v = self.ar_rd(s).wrapping_add(imm as i32 as u32);
-                    self.ar_wr(r, v);
-                    self.counters.alu_ops += 1;
-                }
-            }
-        }
-        self.finish_step(step.pc, cycles, next_pc, halted)
     }
 }
 
@@ -1459,6 +1324,89 @@ mod tests {
             p.run(100),
             Err(SimError::MaxCyclesExceeded { budget: 100 })
         ));
+    }
+
+    /// Straight-line code with a load-use stall every third instruction:
+    /// no control transfer between the first instruction and `HALT`, so
+    /// every event below lands mid-run rather than at a block boundary.
+    fn straight_line() -> Processor {
+        let mut b = ProgramBuilder::new();
+        b.movi(A2, 1);
+        b.movi(A3, 0);
+        b.movi(A4, DMEM0_BASE as i32);
+        for _ in 0..12 {
+            b.add(A3, A3, A2);
+            b.l32i(A5, A4, 0);
+            b.add(A3, A3, A5); // load-use interlock
+        }
+        b.halt();
+        let mut p = dba();
+        p.load_program(b.build().unwrap()).unwrap();
+        p.mem.poke_words(DMEM0_BASE, &[100]).unwrap();
+        p
+    }
+
+    #[test]
+    fn hand_driven_steps_agree_with_run() {
+        let mut ran = straight_line();
+        let stats = ran.run(1000).unwrap();
+        assert_eq!(ran.ar[3], 12 * 101);
+        assert_eq!(stats.cycles, 52);
+        assert_eq!(stats.counters.stall_load_use, 12);
+
+        let mut stepped = straight_line();
+        let mut steps = 1;
+        while stepped.step().unwrap() == StepOutcome::Continue {
+            steps += 1;
+        }
+        assert_eq!(steps, 40);
+        assert_eq!(stepped.ar, ran.ar);
+        let stepped_stats = RunStats {
+            cycles: stepped.cycles,
+            halted: true,
+            counters: stepped.counters.clone(),
+        };
+        assert_eq!(stepped_stats, stats);
+        // A halted processor stays halted.
+        assert_eq!(stepped.step().unwrap(), StepOutcome::Halted);
+    }
+
+    #[test]
+    fn register_flip_mid_straight_line_fires_at_the_first_step_past_its_cycle() {
+        let plan = FaultPlan::new().with_bit_flip(FaultTarget::RegFile, 10, 2, 4);
+        let mut p = straight_line();
+        p.set_fault_plan(plan.clone());
+        let stats = p.run(1000).unwrap();
+        // The load-use stall carries the clock from 9 to 11, so the flip
+        // (A2: 1 -> 17) lands before the step at entry + 40, cycle 11.
+        assert_eq!(p.ar[2], 17);
+        assert_eq!(p.ar[3], 1372);
+        assert_eq!(stats.cycles, 52);
+        assert_eq!(stats.counters.faults.injected, 1);
+
+        let mut q = straight_line();
+        q.set_fault_plan(plan);
+        let entry = q.program().unwrap().entry();
+        while q.ar[2] == 1 {
+            let (pc, cycle) = (q.pc(), q.cycles);
+            q.step().unwrap();
+            if q.ar[2] != 1 {
+                assert_eq!((pc - entry, cycle), (40, 11));
+            }
+        }
+    }
+
+    #[test]
+    fn watchdog_mid_straight_line_traps_at_the_budget() {
+        let mut p = straight_line();
+        p.set_watchdog(Some(20));
+        let e = p.run(1000).unwrap_err();
+        let mf = e.machine_fault().expect("watchdog traps");
+        let entry = p.program().unwrap().entry();
+        assert_eq!(mf.pc - entry, 68);
+        assert_eq!(mf.cycle, 20);
+        assert!(matches!(mf.cause, FaultCause::Watchdog { budget: 20 }));
+        assert_eq!(p.ar[3], 405);
     }
 
     #[test]

@@ -121,8 +121,8 @@ impl EventCounters {
 }
 
 /// Outcome of a completed simulation run. Equality compares every
-/// field — the fast-path differential suite relies on this to assert
-/// bit-identical stats between the precise and fast engines.
+/// field — the engine's golden and instrumented-versus-plain suites rely
+/// on this to assert bit-identical stats.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunStats {
     /// Total simulated cycles.

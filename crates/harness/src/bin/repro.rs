@@ -68,8 +68,8 @@
 //! dse options:
 //!          --json              print the deterministic mining snapshot
 //!          --profiled [period] also mine with weights measured by the
-//!                              sampled profiler (fast-path-safe; default
-//!                              period 64 cycles)
+//!                              sampled profiler (one compare per step;
+//!                              default period 64 cycles)
 //!          --check <baseline>  gate against a committed DSE_baseline.json;
 //!                              exit 1 when a rediscovered SOP/ST_S/bundle
 //!                              shape disappears or the frontier's best

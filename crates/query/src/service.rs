@@ -265,9 +265,11 @@ pub struct QueryService<D: Disk> {
     engine: QueryEngine,
     cfg: ServiceConfig,
     obs: Observer,
-    /// Indexed tables cached per immutable [`TableImage`] (keyed by Arc
-    /// pointer identity — a new generation of a table is a new image).
-    table_cache: HashMap<usize, Arc<Table>>,
+    /// Indexed tables cached per immutable [`TableImage`], keyed by Arc
+    /// pointer identity (a new generation of a table is a new image).
+    /// Each entry holds its image so the address cannot be freed and
+    /// reused by a later generation while the entry lives.
+    table_cache: HashMap<usize, (Arc<TableImage>, Arc<Table>)>,
 }
 
 impl<D: Disk> QueryService<D> {
@@ -322,7 +324,7 @@ impl<D: Disk> QueryService<D> {
     /// Builds (or fetches from cache) the indexed table for an image.
     fn indexed(&mut self, img: &Arc<TableImage>) -> Result<Arc<Table>, QueryError> {
         let key = Arc::as_ptr(img) as usize;
-        if let Some(t) = self.table_cache.get(&key) {
+        if let Some((_, t)) = self.table_cache.get(&key) {
             return Ok(Arc::clone(t));
         }
         let cols: Vec<(&str, Vec<u32>)> = img
@@ -331,12 +333,13 @@ impl<D: Disk> QueryService<D> {
             .map(|(n, v)| (n.as_str(), v.clone()))
             .collect();
         let table = Arc::new(Table::try_build(&img.name, &cols)?);
-        // Old generations' images die with their views; a tiny cache is
-        // plenty and keeps memory bounded under churn.
+        // A tiny cache is plenty and keeps the pinned images bounded
+        // under churn.
         if self.table_cache.len() >= 32 {
             self.table_cache.clear();
         }
-        self.table_cache.insert(key, Arc::clone(&table));
+        self.table_cache
+            .insert(key, (Arc::clone(img), Arc::clone(&table)));
         Ok(table)
     }
 

@@ -5,7 +5,9 @@
 //! built entirely through the service.
 
 use dbasip::dbisa::ProcModel;
-use dbasip::query::{Arrival, Predicate, QueryError, QueryService, Reply, Request, ServiceConfig};
+use dbasip::query::{
+    Arrival, Predicate, QueryEngine, QueryError, QueryService, Reply, Request, ServiceConfig, Table,
+};
 use dbasip::storage::{Columns, MemDisk};
 use std::sync::Arc;
 use std::thread;
@@ -235,4 +237,49 @@ fn views_are_send_and_arc_shareable() {
     let v2 = Arc::clone(&view);
     let t = thread::spawn(move || v2.table("items").unwrap().columns.len());
     assert_eq!(t.join().unwrap(), 2);
+}
+
+#[test]
+fn the_index_cache_never_serves_a_stale_generation() {
+    // Every append makes a new table image and frees the previous one
+    // once no view holds it, so the allocator is free to hand a later
+    // generation the address of an earlier one. The service's RIDs must
+    // match an index built fresh from the same snapshot every time.
+    let mut s = open_seeded(10);
+    let reference = QueryEngine::new(MODEL);
+    let predicate = Predicate::eq("color", 1).and(Predicate::eq("size", 1));
+    for gen in 0..40u32 {
+        let mut txn = s.store().begin();
+        txn.append_rows(
+            "items",
+            vec![
+                ("color".into(), vec![1]),
+                ("size".into(), vec![1 + gen % 2]),
+            ],
+        );
+        s.store_mut().commit(txn).unwrap();
+
+        let expect = {
+            let view = s.view();
+            let img = view.table("items").unwrap();
+            let cols: Vec<(&str, Vec<u32>)> = img
+                .columns
+                .iter()
+                .map(|(n, v)| (n.as_str(), v.clone()))
+                .collect();
+            let fresh = Table::try_build(&img.name, &cols).unwrap();
+            reference.execute(&fresh, &predicate).unwrap().rids
+        };
+        let report = s.run(&[Arrival::new(
+            0,
+            Request::Query {
+                table: "items".into(),
+                predicate: predicate.clone(),
+            },
+        )]);
+        match &report.completions[0].result {
+            Ok(Reply::Rids(rids)) => assert_eq!(rids, &expect, "generation {gen}"),
+            other => panic!("query on generation {gen} failed: {other:?}"),
+        }
+    }
 }
