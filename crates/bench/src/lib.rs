@@ -16,13 +16,9 @@
 //!
 //! Beyond the criterion targets, the crate hosts the `repro bench`
 //! paper-figure suite: [`suite`] fans the evaluation's sweeps out over
-//! the host shard scheduler and [`perf`] serializes the result as the
-//! regression-gated `BENCH_perf.json` snapshot.
+//! the host shard scheduler and renders the result as the keyed-metric
+//! snapshot (`dbx_observe::Snapshot`) committed as `BENCH_perf.json`.
 
-pub mod gate;
-pub mod perf;
-pub mod serve;
-pub mod stats;
 pub mod suite;
 
 /// Shared bench workload seed.

@@ -1,7 +1,7 @@
 //! The paper-figure sweep suite behind `repro bench`.
 //!
-//! Regenerates the evaluation's performance figures as one machine-
-//! readable [`PerfSnapshot`]:
+//! Regenerates the evaluation's performance figures as one [`Suite`]
+//! whose [`Suite::snapshot`] is the regression-gated `BENCH_perf.json`:
 //!
 //! * **selectivity** — intersection/union/difference throughput over
 //!   selectivity on DBA_2LSU_EIS (Figure 13's axis, all three set ops).
@@ -22,13 +22,98 @@
 //! from them — the snapshot is bit-identical whatever the host thread
 //! count.
 
-use crate::perf::{q6, PerfPoint, PerfSnapshot};
 use crate::SEED;
 use dbx_core::multicore::multicore_set_op_with;
 use dbx_core::{run_indexed, run_partition, HostSched, ProcModel, RunOptions, SetOpKind};
+use dbx_observe::snapshot::{q6, Better, Snapshot};
 use dbx_synth::{fmax_mhz, Tech};
 use dbx_workloads::{set_pair_with_selectivity, sort_input, SortOrder};
 use dbx_x86ref::published;
+
+/// One simulated sweep coordinate of the suite.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerfPoint {
+    /// Figure family: `selectivity`, `size`, `sort`, or `cores`.
+    pub figure: &'static str,
+    /// Kernel name (`intersect`, `union`, `difference`, `sort`).
+    pub kernel: &'static str,
+    /// Processor model name (see `ProcModel::name`).
+    pub model: &'static str,
+    /// The sweep coordinate: selectivity in `[0, 1]`, elements per set,
+    /// sort input size, or simulated core count.
+    pub x: f64,
+    /// Elements processed (the paper's throughput denominator).
+    pub elements: u64,
+    /// Simulated cycles (makespan for multi-core points).
+    pub cycles: u64,
+    /// The model's fMAX on TSMC 65 nm LP used for the throughput, MHz.
+    pub fmax_mhz: f64,
+    /// Throughput at `fmax_mhz`, M elements/s.
+    pub throughput_meps: f64,
+    /// Parallel speedup over one simulated core (`1.0` off the `cores`
+    /// figure).
+    pub speedup: f64,
+}
+
+impl PerfPoint {
+    /// The snapshot key prefix identifying the point.
+    pub fn key(&self) -> String {
+        format!(
+            "perf/{}/{}/{}/x={}",
+            self.figure, self.kernel, self.model, self.x
+        )
+    }
+}
+
+/// One run of the suite.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Suite {
+    /// Workload scale the suite ran at (`1.0` = the paper's sizes).
+    pub scale: f64,
+    /// Sweep points, in generation order (figure-major).
+    pub points: Vec<PerfPoint>,
+    /// Named headline ratios (e.g. `hwset_vs_swset_published`).
+    pub ratios: Vec<(&'static str, f64)>,
+}
+
+impl Suite {
+    /// The `BENCH_perf.json` snapshot: `perf/scale` and every point's
+    /// cycles gated, everything else reported.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut s = Snapshot::new();
+        s.gated("perf/scale", self.scale, "x", Better::Exact);
+        for p in &self.points {
+            let k = p.key();
+            let cycles = p.cycles as f64;
+            s.gated(format!("{k}/cycles"), cycles, "cycles", Better::Lower);
+            for (name, value, unit, better) in [
+                ("elements", p.elements as f64, "elements", Better::Exact),
+                ("fmax_mhz", p.fmax_mhz, "MHz", Better::Higher),
+                (
+                    "throughput_meps",
+                    p.throughput_meps,
+                    "Melem/s",
+                    Better::Higher,
+                ),
+                ("speedup", p.speedup, "x", Better::Higher),
+            ] {
+                s.info(format!("{k}/{name}"), value, unit, better);
+            }
+        }
+        for (name, value) in &self.ratios {
+            s.info(format!("perf/ratio/{name}"), *value, "x", Better::Higher);
+        }
+        s
+    }
+
+    /// A named headline ratio.
+    pub fn ratio(&self, name: &str) -> Option<f64> {
+        self.ratios
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|&(_, v)| v)
+    }
+}
 
 /// How the suite runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,14 +254,14 @@ fn run_spec(spec: &Spec) -> PerfPoint {
             let elements = (a.len() + b.len()) as u64;
             let fmax = fmax_mhz(model, &tech);
             PerfPoint {
-                figure: figure.to_string(),
-                kernel: kind.name().to_string(),
-                model: model.name().to_string(),
+                figure,
+                kernel: kind.name(),
+                model: model.name(),
                 x,
                 elements,
                 cycles,
-                fmax_mhz: q6(fmax),
-                throughput_meps: q6(elements as f64 * fmax / cycles as f64),
+                fmax_mhz: fmax,
+                throughput_meps: elements as f64 * fmax / cycles as f64,
                 speedup: 1.0,
             }
         }
@@ -185,14 +270,14 @@ fn run_spec(spec: &Spec) -> PerfPoint {
             let r = dbx_core::run_sort(model, &data).expect("bench sort point");
             let fmax = fmax_mhz(model, &tech);
             PerfPoint {
-                figure: "sort".to_string(),
-                kernel: "sort".to_string(),
-                model: model.name().to_string(),
+                figure: "sort",
+                kernel: "sort",
+                model: model.name(),
                 x: n as f64,
                 elements: n as u64,
                 cycles: r.cycles,
-                fmax_mhz: q6(fmax),
-                throughput_meps: q6(r.stats.throughput_meps(n as u64, fmax)),
+                fmax_mhz: fmax,
+                throughput_meps: r.stats.throughput_meps(n as u64, fmax),
                 speedup: 1.0,
             }
         }
@@ -210,22 +295,22 @@ fn run_spec(spec: &Spec) -> PerfPoint {
             let elements = (a.len() + b.len()) as u64;
             let fmax = fmax_mhz(model, &tech);
             PerfPoint {
-                figure: "cores".to_string(),
-                kernel: kind.name().to_string(),
-                model: model.name().to_string(),
+                figure: "cores",
+                kernel: kind.name(),
+                model: model.name(),
                 x: cores as f64,
                 elements,
                 cycles: mc.makespan_cycles,
-                fmax_mhz: q6(fmax),
-                throughput_meps: q6(mc.throughput_meps(elements, fmax)),
+                fmax_mhz: fmax,
+                throughput_meps: mc.throughput_meps(elements, fmax),
                 speedup: 1.0, // rewritten against the 1-core makespan below
             }
         }
     }
 }
 
-/// Runs the full paper-figure suite and returns the snapshot.
-pub fn run_suite(cfg: &SuiteConfig) -> PerfSnapshot {
+/// Runs the full paper-figure suite.
+pub fn run_suite(cfg: &SuiteConfig) -> Suite {
     let specs = build_specs(cfg.scale);
     let mut points = run_indexed(cfg.sched, specs.len(), |i| run_spec(&specs[i]));
 
@@ -240,23 +325,21 @@ pub fn run_suite(cfg: &SuiteConfig) -> PerfSnapshot {
         p.speedup = if p.cycles == 0 {
             0.0
         } else {
-            q6(one_core as f64 / p.cycles as f64)
+            one_core as f64 / p.cycles as f64
         };
     }
 
-    // Headline ratios against the published x86 reference numbers.
-    let eis_name = EIS.name().to_string();
+    // Headline ratios against the published x86 reference numbers, taken
+    // from the throughputs as the snapshot records them.
     let hwset = points
         .iter()
         .find(|p| p.figure == "selectivity" && p.kernel == "intersect" && p.x == 0.5)
-        .map(|p| p.throughput_meps)
-        .unwrap_or(0.0);
+        .map_or(0.0, |p| q6(p.throughput_meps));
     let hwsort = points
         .iter()
-        .filter(|p| p.figure == "sort" && p.model == eis_name)
+        .filter(|p| p.figure == "sort" && p.model == EIS.name())
         .max_by(|a, b| a.x.total_cmp(&b.x))
-        .map(|p| p.throughput_meps)
-        .unwrap_or(0.0);
+        .map_or(0.0, |p| q6(p.throughput_meps));
     let max_speedup = points
         .iter()
         .filter(|p| p.figure == "cores")
@@ -264,21 +347,20 @@ pub fn run_suite(cfg: &SuiteConfig) -> PerfSnapshot {
         .fold(0.0, f64::max);
     let ratios = vec![
         (
-            "hwset_vs_swset_published".to_string(),
-            q6(hwset / published::i7_920::SWSET_MEPS),
+            "hwset_vs_swset_published",
+            hwset / published::i7_920::SWSET_MEPS,
         ),
         (
-            "hwsort_vs_swsort_published".to_string(),
-            q6(hwsort / published::q9550::SWSORT_MEPS),
+            "hwsort_vs_swsort_published",
+            hwsort / published::q9550::SWSORT_MEPS,
         ),
-        ("cores_speedup_max".to_string(), max_speedup),
+        ("cores_speedup_max", max_speedup),
     ];
 
-    PerfSnapshot {
+    Suite {
         scale: cfg.scale,
         points,
         ratios,
-        host: None,
     }
 }
 
@@ -292,7 +374,7 @@ mod tests {
         let seq = small(HostSched::Sequential);
         let par = small(HostSched::Parallel { threads: 3 });
         assert_eq!(seq, par, "snapshot must not depend on host threads");
-        assert_eq!(seq.to_json(), par.to_json());
+        assert_eq!(seq.snapshot().to_string(), par.snapshot().to_string());
     }
 
     #[test]
@@ -311,11 +393,12 @@ mod tests {
         assert!(snap.ratio("hwsort_vs_swsort_published").is_some());
         let s = snap.ratio("cores_speedup_max").unwrap();
         assert!(s >= 1.0, "16 simulated cores must not slow down: {s}");
-        // Keys are unique — the diff relies on it.
-        let mut keys: Vec<String> = snap.points.iter().map(PerfPoint::key).collect();
-        keys.sort();
-        keys.dedup();
-        assert_eq!(keys.len(), snap.points.len());
+        // Keys are unique (the snapshot asserts it): 5 metrics per point,
+        // plus the ratios and the scale.
+        assert_eq!(
+            snap.snapshot().len(),
+            5 * snap.points.len() + snap.ratios.len() + 1
+        );
     }
 
     #[test]

@@ -22,19 +22,22 @@
 //!                   burn-rate alerts, per-phase tail attribution
 //! repro dse         automatic ISA-extension mining (DFG enumeration +
 //!                   synth-priced Pareto search over the scalar kernels)
-//! repro all         everything above
+//! repro all         everything above but diff
 //!
 //! options: --quick   scale workloads down ~10x for a fast pass
 //!          --csv     with fig13: print CSV instead of the table
 //!          --op=union | --op=diff   with fig13: sweep another operation
+//!
+//! repro diff a.json b.json
+//!                   compare two snapshots key by key: print the first
+//!                   diverging keys, exit 1 if any key or value differs
 //!
 //! observe options:
 //!          --json              print the benchmark snapshot JSON
 //!          --perfetto <path>   write the Chrome-trace/Perfetto timeline
 //!          --folded <path>     write folded stacks for flamegraph tools
 //!          --top <n>           hotspot regions per kernel (default 3)
-//!          --check <baseline>  diff against a committed snapshot; exit 1
-//!                              on any >3% cycle regression
+//!          --check <baseline>  gate against a committed snapshot
 //!
 //! bench options:
 //!          --scale <f>         workload scale (default 1.0; overrides --quick)
@@ -43,10 +46,9 @@
 //!          --json              print the perf snapshot JSON
 //!          --folded <path>     write folded stacks for flamegraph tools
 //!          --host-time         measure host wall-clock for the sweep and
-//!                              stamp ns-per-simulated-cycle metadata into
-//!                              the snapshot (ignored by --check)
-//!          --check <baseline>  diff against a committed BENCH_perf.json;
-//!                              exit 1 on any >3% cycle regression
+//!                              add ungated perf/host/* keys (ns per
+//!                              simulated cycle, sim Mcycles/s)
+//!          --check <baseline>  gate against a committed BENCH_perf.json
 //!
 //! serve options:
 //!          --scale <f>         workload scale (default 1.0; overrides --quick)
@@ -56,9 +58,7 @@
 //!          --metrics-json      print the JSON twin of --metrics
 //!          --top-tail <n>      print the n worst requests with their
 //!                              dominant latency phase
-//!          --check <baseline>  diff against a committed BENCH_serve.json;
-//!                              exit 1 on any >3% cycle regression or any
-//!                              admission-counter drift
+//!          --check <baseline>  gate against a committed BENCH_serve.json
 //!
 //! monitor options:
 //!          --scale <f>         workload scale (default 1.0; overrides --quick)
@@ -70,16 +70,23 @@
 //!          --profiled [period] also mine with weights measured by the
 //!                              sampled profiler (one compare per step;
 //!                              default period 64 cycles)
-//!          --check <baseline>  gate against a committed DSE_baseline.json;
-//!                              exit 1 when a rediscovered SOP/ST_S/bundle
-//!                              shape disappears or the frontier's best
-//!                              speedup regresses >3%
+//!          --check <baseline>  gate against a committed DSE_baseline.json
+//!
+//! --check prints the changed keys and exits 1 when a gated metric
+//! regresses: `lower` metrics (cycles) by more than 3%, `higher` metrics
+//! (the DSE frontier's best speedup) by a drop of more than 3%, `exact`
+//! metrics (scale, serve admission counters, the rediscovered SOP/ST_S/
+//! bundle shapes) on any change, or a gated key present on one side
+//! only. A flag with a missing or malformed value exits 2; an unreadable
+//! or malformed file exits 1.
 //! ```
 
 use dbx_harness::{
     bench, dse, energy, fig13, isa_ref, monitor, observe, pipeline, resilience, scaling, serve,
     stream_exp, table2, table3, table4, table5, table6, width_exp,
 };
+use dbx_observe::snapshot::{compare, render_diff, Snapshot};
+use std::str::FromStr;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -92,7 +99,8 @@ fn main() {
         .unwrap_or("all");
     let scale = if quick { 0.1 } else { 1.0 };
 
-    let run_one = |name: &str| match name {
+    let run_one = |name: &str| {
+        match name {
         "table2" => println!("{}", table2::run(scale).render()),
         "fig13" => {
             let kind = if args.iter().any(|a| a == "--op=union") {
@@ -125,13 +133,11 @@ fn main() {
         "serve" => run_serve(&args, scale),
         "monitor" => run_monitor(&args, scale),
         "dse" => run_dse(&args),
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            eprintln!(
-                "available: table2 fig13 table3 table4 table5 table6 stream pipeline scaling energy resilience width isa observe bench serve monitor dse all"
-            );
-            std::process::exit(2);
-        }
+        "diff" => run_diff(&args),
+        other => usage_error(&format!(
+            "unknown experiment '{other}'; available: table2 fig13 table3 table4 table5 table6 stream pipeline scaling energy resilience width isa observe bench serve monitor dse diff all"
+        )),
+    }
     };
 
     if cmd == "all" {
@@ -161,93 +167,133 @@ fn main() {
     }
 }
 
-/// Value of a `--flag <value>` pair, if present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// Reports a usage error and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("repro: {msg}");
+    std::process::exit(2);
 }
 
-/// Shared `--check` driver for the gated snapshots (observe, bench,
-/// serve). Reads the committed baseline, renders the diff table, and
-/// exits 1 on any regression or on a malformed baseline. The threshold
-/// arithmetic itself lives in `dbx_bench::gate`; this owns only the
-/// exit policy.
-fn run_check<D, E: std::fmt::Display>(
-    args: &[String],
-    unit: &str,
-    check: impl FnOnce(&str) -> Result<Vec<D>, E>,
-    render: impl FnOnce(&[D]) -> String,
-    regressed: impl Fn(&D) -> bool,
-) {
-    let Some(path) = flag_value(args, "--check") else {
+/// Reports a file error naming the path and exits 1.
+fn file_error(path: &str, e: impl std::fmt::Display) -> ! {
+    eprintln!("repro: {path}: {e}");
+    std::process::exit(1);
+}
+
+/// The parsed value of a `--flag <value>` pair, `None` when the flag is
+/// absent. A value that is missing, is itself a flag, or does not parse
+/// is a usage error.
+fn flag_value<T: FromStr>(args: &[String], flag: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == flag)?;
+    let Some(raw) = args.get(i + 1).filter(|v| !v.starts_with("--")) else {
+        usage_error(&format!("{flag} needs a value"));
+    };
+    match raw.parse() {
+        Ok(v) => Some(v),
+        Err(_) => usage_error(&format!("{flag}: cannot parse {raw:?}")),
+    }
+}
+
+/// The `--scale` value (a positive number), or `default`.
+fn scale_flag(args: &[String], default: f64) -> f64 {
+    match flag_value::<f64>(args, "--scale") {
+        None => default,
+        Some(s) if s.is_finite() && s > 0.0 => s,
+        Some(s) => usage_error(&format!("--scale must be positive, got {s}")),
+    }
+}
+
+fn write_file(path: &str, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| file_error(path, e));
+    eprintln!("wrote {path}");
+}
+
+fn read_snapshot(path: &str) -> Snapshot {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| file_error(path, e));
+    Snapshot::parse(&text).unwrap_or_else(|e| file_error(path, e))
+}
+
+/// The `--check <baseline>` baseline, read before the experiment runs so
+/// a bad path fails fast.
+fn check_baseline(args: &[String]) -> Option<(String, Snapshot)> {
+    flag_value::<String>(args, "--check").map(|path| {
+        let snap = read_snapshot(&path);
+        (path, snap)
+    })
+}
+
+/// The one `--check` gate: compares `current` against the baseline,
+/// prints the changed keys, and exits 1 on any regression.
+fn run_check(baseline: Option<(String, Snapshot)>, current: &Snapshot) {
+    let Some((path, baseline)) = baseline else {
         return;
     };
-    let baseline = std::fs::read_to_string(path).expect("read baseline snapshot");
-    match check(&baseline) {
-        Ok(diffs) => {
-            let regressions = diffs.iter().filter(|d| regressed(d)).count();
-            eprintln!("{}", render(&diffs));
-            if regressions > 0 {
-                eprintln!("{regressions} {unit}(s) regressed beyond the 3% threshold");
-                std::process::exit(1);
-            }
-            eprintln!("no cycle regressions against {path}");
-        }
-        Err(e) => {
-            eprintln!("baseline comparison failed: {e}");
-            std::process::exit(1);
-        }
+    let deltas = compare(&baseline, current);
+    eprint!("{}", render_diff(&deltas));
+    if deltas.iter().any(|d| d.regressed()) {
+        eprintln!("gated metrics regressed against {path}");
+        std::process::exit(1);
+    }
+    eprintln!("no gated regressions against {path}");
+}
+
+/// `repro diff a.json b.json`: exit 1 if any key or value differs.
+fn run_diff(args: &[String]) {
+    let files: Vec<&String> = args
+        .iter()
+        .skip_while(|a| *a != "diff")
+        .skip(1)
+        .filter(|a| !a.starts_with("--"))
+        .collect();
+    let [a, b] = files[..] else {
+        usage_error("diff needs exactly two snapshot files");
+    };
+    let (base, cur) = (read_snapshot(a), read_snapshot(b));
+    let deltas = compare(&base, &cur);
+    print!("{}", render_diff(&deltas));
+    if deltas.iter().any(|d| d.changed()) {
+        std::process::exit(1);
     }
 }
 
 fn run_observe(args: &[String], scale: f64) {
+    let top: usize = flag_value(args, "--top").unwrap_or(3);
+    let perfetto = flag_value::<String>(args, "--perfetto");
+    let folded = flag_value::<String>(args, "--folded");
+    let baseline = check_baseline(args);
     let o = observe::run(scale);
-    let top: usize = flag_value(args, "--top")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
 
-    if let Some(path) = flag_value(args, "--perfetto") {
-        std::fs::write(path, o.perfetto()).expect("write perfetto trace");
-        eprintln!("wrote Perfetto trace to {path}");
+    if let Some(path) = perfetto {
+        write_file(&path, &o.perfetto());
     }
-    if let Some(path) = flag_value(args, "--folded") {
-        std::fs::write(path, o.folded().render()).expect("write folded stacks");
-        eprintln!("wrote folded stacks to {path}");
+    if let Some(path) = folded {
+        write_file(&path, &o.folded().render());
     }
-
+    let snapshot = o.snapshot();
     if args.iter().any(|a| a == "--json") {
-        println!("{}", o.snapshot().to_json());
+        println!("{snapshot}");
     } else {
         println!("{}", o.render());
         println!("{}", o.hotspot_report(top));
     }
-
-    run_check(
-        args,
-        "cell",
-        |baseline| o.check(baseline),
-        observe::Observe::render_diff,
-        |d| d.regression,
-    );
+    run_check(baseline, &snapshot);
 }
 
 fn run_serve(args: &[String], scale: f64) {
-    let scale = flag_value(args, "--scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(scale);
+    let scale = scale_flag(args, scale);
+    let top_tail = flag_value::<usize>(args, "--top-tail");
+    let baseline = check_baseline(args);
     let s = serve::run(scale);
 
+    let snapshot = s.snapshot();
     if args.iter().any(|a| a == "--metrics") {
         print!("{}", s.metrics());
     } else if args.iter().any(|a| a == "--metrics-json") {
         println!("{}", s.metrics_json());
     } else if args.iter().any(|a| a == "--json") {
-        println!("{}", s.snapshot.to_json());
+        println!("{snapshot}");
     } else {
         println!("{}", s.render());
-        if let Some(n) = flag_value(args, "--top-tail").and_then(|v| v.parse().ok()) {
+        if let Some(n) = top_tail {
             println!("{}", s.top_tail_report(n));
         }
     }
@@ -255,87 +301,58 @@ fn run_serve(args: &[String], scale: f64) {
         eprintln!("crash recovery diverged from the pre-crash serving state");
         std::process::exit(1);
     }
-
-    run_check(
-        args,
-        "metric",
-        |baseline| s.check(baseline),
-        serve::Serve::render_diff,
-        |d| d.regression,
-    );
+    run_check(baseline, &snapshot);
 }
 
 fn run_monitor(args: &[String], scale: f64) {
-    let scale = flag_value(args, "--scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(scale);
-    let top_tail = flag_value(args, "--top-tail")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
+    let scale = scale_flag(args, scale);
+    let top_tail = flag_value(args, "--top-tail").unwrap_or(5);
     let m = monitor::run(scale);
     println!("{}", m.render(top_tail));
 }
 
 fn run_dse(args: &[String]) {
+    // `--profiled` takes an optional period.
+    let profiled = args
+        .iter()
+        .position(|a| a == "--profiled")
+        .map(|i| match args.get(i + 1) {
+            Some(v) if !v.starts_with("--") => flag_value(args, "--profiled").unwrap_or(64),
+            _ => 64,
+        });
+    let baseline = check_baseline(args);
     let d = dse::run();
+    let snapshot = d.snapshot();
     if args.iter().any(|a| a == "--json") {
-        println!("{}", d.snapshot());
+        println!("{snapshot}");
     } else {
         println!("{}", d.render());
     }
-    if args.iter().any(|a| a == "--profiled") {
-        let period = flag_value(args, "--profiled")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(64);
+    if let Some(period) = profiled {
         println!("{}", dse::profile_weighted(period).render());
     }
-    if let Some(path) = flag_value(args, "--check") {
-        let baseline = std::fs::read_to_string(path).expect("read DSE baseline");
-        match d.check(&baseline) {
-            Ok(failures) if failures.is_empty() => {
-                eprintln!("DSE gate passes against {path}");
-            }
-            Ok(failures) => {
-                for f in &failures {
-                    eprintln!("DSE gate: {f}");
-                }
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("baseline comparison failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    run_check(baseline, &snapshot);
 }
 
 fn run_bench(args: &[String], scale: f64) {
-    let scale = flag_value(args, "--scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(scale);
-    let sched = bench::sched_from_flag(flag_value(args, "--threads"));
+    let scale = scale_flag(args, scale);
+    let threads = flag_value::<String>(args, "--threads");
+    let sched = bench::sched_from_flag(threads.as_deref()).unwrap_or_else(|e| usage_error(&e));
+    let folded = flag_value::<String>(args, "--folded");
+    let baseline = check_baseline(args);
     let b = if args.iter().any(|a| a == "--host-time") {
         bench::run_timed(scale, sched)
     } else {
         bench::run(scale, sched)
     };
 
-    if let Some(path) = flag_value(args, "--folded") {
-        std::fs::write(path, b.folded().render()).expect("write folded stacks");
-        eprintln!("wrote folded stacks to {path}");
+    if let Some(path) = folded {
+        write_file(&path, &b.folded().render());
     }
-
     if args.iter().any(|a| a == "--json") {
-        println!("{}", b.snapshot.to_json());
+        println!("{}", b.snapshot);
     } else {
         println!("{}", b.render());
     }
-
-    run_check(
-        args,
-        "point",
-        |baseline| b.check(baseline),
-        bench::Bench::render_diff,
-        |d| d.regression,
-    );
+    run_check(baseline, &b.snapshot);
 }

@@ -34,7 +34,7 @@ impl Monitor {
         let policy = slo_policy();
         let mut out = format!(
             "Service monitor — {} requests, windows of {} cycles (p99 ≤ {} cycles, shed ≤ {:.1}%)\n\n",
-            self.serve.snapshot.requests,
+            self.serve.requests,
             policy.window_cycles,
             policy.p99_latency_cycles,
             100.0 * policy.max_shed_rate,

@@ -9,8 +9,8 @@
 //!   program region, the paper's tool-flow step 1),
 //! * a Chrome-trace / Perfetto JSON timeline (`--perfetto`),
 //! * folded stacks for flamegraph tools (`--folded`),
-//! * a machine-readable [`BenchSnapshot`] (`--json`) that CI diffs
-//!   against the committed `BENCH_observe.json` baseline (`--check`).
+//! * the keyed-metric [`Snapshot`] (`--json`) that CI gates against the
+//!   committed `BENCH_observe.json` baseline (`--check`).
 //!
 //! Workloads are pinned (2×2000 elements at 50 % selectivity for the set
 //! operations, 2048 random elements for the sort) so cycle counts are
@@ -21,8 +21,7 @@ use crate::{scaled, SEED};
 use dbx_core::{run_set_op_with, run_sort_with, ProcModel, RunOptions, SetOpKind};
 use dbx_cpu::{ProfileSnapshot, RunStats};
 use dbx_observe::{
-    write_chrome_trace, BenchCell, BenchSnapshot, CellDiff, FoldedStacks, Observer, SnapshotError,
-    TraceSink, TrackId,
+    write_chrome_trace, Better, FoldedStacks, Observer, Snapshot, TraceSink, TrackId,
 };
 use dbx_synth::{fmax_mhz, Tech};
 use dbx_workloads::{set_pair_with_selectivity, sort_input, SortOrder};
@@ -118,43 +117,41 @@ pub fn run(scale: f64) -> Observe {
 }
 
 impl Observe {
-    /// The benchmark snapshot: one cell per kernel × configuration ×
-    /// technology node. Cycle counts are tech-independent; the two nodes
-    /// differ in the f_max used for throughput.
-    pub fn snapshot(&self) -> BenchSnapshot {
-        let techs = [Tech::tsmc65lp(), Tech::gf28slp()];
-        let mut cells = Vec::with_capacity(self.runs.len() * techs.len());
+    /// The `BENCH_observe.json` snapshot, keyed
+    /// `observe/{kernel}/{model}[+partial]/...`: cycles (gated), elements
+    /// and stall fractions per run, plus throughput per technology node
+    /// (cycle counts are tech-independent; the nodes differ in f_max).
+    pub fn snapshot(&self) -> Snapshot {
+        let mut s = Snapshot::new();
         for r in &self.runs {
-            let c = &r.stats.counters;
-            let frac = |stall: u64| {
-                if r.cycles == 0 {
-                    0.0
-                } else {
-                    stall as f64 / r.cycles as f64
-                }
+            let partial = if r.model.partial_label() == "yes" {
+                "+partial"
+            } else {
+                ""
             };
-            for tech in &techs {
-                let f = fmax_mhz(r.model, tech);
-                cells.push(BenchCell {
-                    kernel: r.kernel.to_string(),
-                    model: r.model.name().to_string(),
-                    partial: matches!(
-                        r.model,
-                        ProcModel::Dba1LsuEis { partial: true }
-                            | ProcModel::Dba2LsuEis { partial: true }
-                    ),
-                    tech: tech.name.to_string(),
-                    cycles: r.cycles,
-                    elements: r.elements,
-                    throughput_meps: r.stats.throughput_meps(r.elements, f),
-                    stall_load_use: frac(c.stall_load_use),
-                    stall_mem: frac(c.stall_mem),
-                    stall_control: frac(c.stall_control),
-                    stall_ecc: frac(c.stall_ecc),
-                });
+            let k = format!("observe/{}/{}{partial}", r.kernel, r.model.name());
+            let cycles = r.cycles as f64;
+            s.gated(format!("{k}/cycles"), cycles, "cycles", Better::Lower);
+            let elements = r.elements as f64;
+            s.info(format!("{k}/elements"), elements, "elements", Better::Exact);
+            let c = &r.stats.counters;
+            for (name, stall) in [
+                ("stall_load_use", c.stall_load_use),
+                ("stall_mem", c.stall_mem),
+                ("stall_control", c.stall_control),
+                ("stall_ecc", c.stall_ecc),
+            ] {
+                let frac = stall as f64 / cycles.max(1.0);
+                s.info(format!("{k}/{name}"), frac, "fraction", Better::Lower);
+            }
+            for tech in [Tech::tsmc65lp(), Tech::gf28slp()] {
+                let fmax = fmax_mhz(r.model, &tech);
+                let meps = r.stats.throughput_meps(r.elements, fmax);
+                let key = format!("{k}/{}/throughput_meps", tech.name);
+                s.info(key, meps, "Melem/s", Better::Higher);
             }
         }
-        BenchSnapshot { cells }
+        s
     }
 
     /// The Chrome-trace / Perfetto JSON of the whole matrix.
@@ -176,12 +173,6 @@ impl Observe {
             }
         }
         fs
-    }
-
-    /// Compares this run's snapshot against a committed baseline.
-    pub fn check(&self, baseline: &str) -> Result<Vec<CellDiff>, SnapshotError> {
-        let base = BenchSnapshot::from_json(baseline)?;
-        self.snapshot().diff(&base)
     }
 
     /// The cycle/throughput overview table (65 nm f_max).
@@ -255,21 +246,6 @@ impl Observe {
         }
         out
     }
-
-    /// Renders a `--check` diff, one line per cell.
-    pub fn render_diff(diffs: &[CellDiff]) -> String {
-        let mut t = TextTable::new(["Cell", "Baseline", "Current", "Delta", ""]);
-        for d in diffs {
-            t.row([
-                d.key.clone(),
-                d.baseline_cycles.to_string(),
-                d.current_cycles.to_string(),
-                format!("{:+.2}%", 100.0 * d.delta),
-                if d.regression { "REGRESSION" } else { "ok" }.to_string(),
-            ]);
-        }
-        t.render()
-    }
 }
 
 #[cfg(test)]
@@ -280,8 +256,8 @@ mod tests {
     fn matrix_covers_every_kernel_and_model() {
         let o = run(0.05);
         assert_eq!(o.runs.len(), KERNELS.len() * ProcModel::all().len());
-        // 2 tech nodes per run in the snapshot.
-        assert_eq!(o.snapshot().cells.len(), 2 * o.runs.len());
+        // Cycles, elements, 4 stall fractions and 2 tech nodes per run.
+        assert_eq!(o.snapshot().len(), 8 * o.runs.len());
         // Every run was profiled (observer enables profiling).
         assert!(o.runs.iter().all(|r| r.profile.is_some()));
     }
@@ -302,18 +278,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_and_self_diff_is_clean() {
-        let o = run(0.05);
-        let snap = o.snapshot();
-        // Floats are serialized at 6 decimals, so compare the identity
-        // and the integer cycle counts — all the diff ever reads.
-        let parsed = BenchSnapshot::from_json(&snap.to_json()).unwrap();
-        let id = |s: &BenchSnapshot| -> Vec<(String, u64)> {
-            s.cells.iter().map(|c| (c.key(), c.cycles)).collect()
-        };
-        assert_eq!(id(&parsed), id(&snap));
-        let diffs = snap.diff(&parsed).unwrap();
-        assert!(diffs.iter().all(|d| !d.regression && d.delta == 0.0));
+    fn snapshot_round_trips() {
+        let snap = run(0.05).snapshot();
+        assert_eq!(Snapshot::parse(&snap.to_string()).unwrap(), snap);
     }
 
     #[test]

@@ -7,25 +7,25 @@
 //! table, and one synchronized burst sized to overflow the admission
 //! queue (so shedding is exercised, not just configured). Everything —
 //! arrival times, request mix, service times, retries — lives in the
-//! simulated cycle domain, so the resulting [`ServeSnapshot`] is
-//! bit-identical on every host and CI gates it against the committed
-//! `BENCH_serve.json` exactly like `BENCH_perf.json`: >3% cycle
-//! regression on p50/p99/span fails, and *any* drift in the admission
-//! counters fails (the service behaved differently).
+//! simulated cycle domain, so [`Serve::snapshot`] is bit-identical on
+//! every host and CI gates it against the committed `BENCH_serve.json`:
+//! a cycle regression above 3% on p50/p99/span fails, and *any* change
+//! to the scale or the admission counters fails (the service behaved
+//! differently).
 //!
 //! After the measured run the harness crash-recovers the store from its
 //! WAL + snapshots and checks the recovered state digest — recovery is
 //! on the serving path, not just in the test suite. The recovery
-//! numbers are rendered for humans but kept out of the snapshot
-//! identity.
+//! numbers are rendered for humans but kept out of the snapshot.
 
 use crate::{scaled, SEED};
-use dbx_bench::serve::{MetricDiff, ServeCounters, ServeError, ServeSnapshot};
 use dbx_core::ProcModel;
 use dbx_faults::XorShift64;
-use dbx_observe::telemetry::{AlertKind, MetricsWriter, Phase, SloPolicy, TelemetryReport};
-use dbx_observe::Json;
-use dbx_query::{Arrival, Predicate, QueryService, Request, ServiceConfig};
+use dbx_observe::telemetry::{
+    median, p99, AlertKind, MetricsWriter, Phase, SloPolicy, TelemetryReport,
+};
+use dbx_observe::{Better, Json, Snapshot};
+use dbx_query::{Arrival, Predicate, QueryService, Request, ServiceConfig, ServiceStats};
 use dbx_storage::{Columns, MemDisk};
 use dbx_synth::{fmax_mhz, Tech};
 
@@ -54,8 +54,17 @@ pub fn slo_policy() -> SloPolicy {
 /// The serving-benchmark result.
 #[derive(Debug)]
 pub struct Serve {
-    /// The machine-readable snapshot (what `BENCH_serve.json` holds).
-    pub snapshot: ServeSnapshot,
+    /// Workload scale (`1.0` = the committed baseline's size).
+    pub scale: f64,
+    /// Requests offered.
+    pub requests: u64,
+    /// Admission counters and span of the measured run.
+    pub stats: ServiceStats,
+    /// Nearest-rank median successful-request latency, cycles (0 if
+    /// none succeeded).
+    pub p50_cycles: u64,
+    /// Nearest-rank 99th-percentile successful-request latency, cycles.
+    pub p99_cycles: u64,
     /// State digest after the measured run.
     pub digest: u32,
     /// State digest after crash + recovery (must equal `digest`).
@@ -162,23 +171,7 @@ pub fn run(scale: f64) -> Serve {
     let workload = workload(scale);
     let report = service.run(&workload);
 
-    let counters = ServeCounters {
-        requests: workload.len() as u64,
-        admitted: report.stats.admitted,
-        shed: report.stats.shed,
-        retried: report.stats.retried,
-        succeeded: report.stats.succeeded,
-        failed: report.stats.failed,
-    };
-    let fmax = fmax_mhz(MODEL, &Tech::tsmc65lp());
-    let snapshot = ServeSnapshot::from_latencies(
-        scale,
-        MODEL.name(),
-        fmax,
-        &report.latencies(),
-        counters,
-        report.stats.span_cycles,
-    );
+    let latencies = report.latencies();
     let telemetry = TelemetryReport::build(report.records(), &slo_policy());
 
     // Crash-recover the store and prove the serving state survives: the
@@ -189,7 +182,11 @@ pub fn run(scale: f64) -> Serve {
     let recovered = dbx_storage::Store::open(disk, Default::default()).expect("recover store");
     let recovery = recovered.recovery().clone();
     Serve {
-        snapshot,
+        scale,
+        requests: workload.len() as u64,
+        stats: report.stats,
+        p50_cycles: median(&latencies).unwrap_or(0),
+        p99_cycles: p99(&latencies).unwrap_or(0),
         digest,
         recovered_digest: recovered.state_digest(),
         frames_replayed: recovery.frames_replayed,
@@ -199,24 +196,65 @@ pub fn run(scale: f64) -> Serve {
 }
 
 impl Serve {
+    /// The serving model's fMAX, MHz.
+    pub fn fmax_mhz(&self) -> f64 {
+        fmax_mhz(MODEL, &Tech::tsmc65lp())
+    }
+
+    /// Sustained throughput: successful queries per second at fMAX.
+    pub fn qps(&self) -> f64 {
+        match self.stats.span_cycles {
+            0 => 0.0,
+            span => self.stats.succeeded as f64 * self.fmax_mhz() * 1.0e6 / span as f64,
+        }
+    }
+
+    /// The `BENCH_serve.json` snapshot: the scale and admission counters
+    /// gated exactly, p50/p99/span gated at 3%, fMAX and qps reported.
+    pub fn snapshot(&self) -> Snapshot {
+        let st = &self.stats;
+        let mut s = Snapshot::new();
+        s.id("serve/model", MODEL.name());
+        s.gated("serve/scale", self.scale, "x", Better::Exact);
+        for (name, value, unit, better) in [
+            ("requests", self.requests, "requests", Better::Exact),
+            ("admitted", st.admitted, "requests", Better::Exact),
+            ("shed", st.shed, "requests", Better::Exact),
+            ("retried", st.retried, "requests", Better::Exact),
+            ("succeeded", st.succeeded, "requests", Better::Exact),
+            ("failed", st.failed, "requests", Better::Exact),
+            ("span_cycles", st.span_cycles, "cycles", Better::Lower),
+            ("p50_cycles", self.p50_cycles, "cycles", Better::Lower),
+            ("p99_cycles", self.p99_cycles, "cycles", Better::Lower),
+        ] {
+            s.gated(format!("serve/{name}"), value as f64, unit, better);
+        }
+        s.info("serve/fmax_mhz", self.fmax_mhz(), "MHz", Better::Higher);
+        s.info("serve/qps", self.qps(), "qps", Better::Higher);
+        s
+    }
+
     /// The human report.
     pub fn render(&self) -> String {
-        let s = &self.snapshot;
+        let st = &self.stats;
         let mut out = format!(
             "Serving benchmark — scale {} ({} requests, {} model)\n\n",
-            s.scale, s.requests, s.model
+            self.scale,
+            self.requests,
+            MODEL.name()
         );
         out.push_str(&format!(
             "  admitted {}  shed {}  retried {}  succeeded {}  failed {}\n",
-            s.admitted, s.shed, s.retried, s.succeeded, s.failed
+            st.admitted, st.shed, st.retried, st.succeeded, st.failed
         ));
         out.push_str(&format!(
             "  span {} cycles  p50 {} cycles  p99 {} cycles\n",
-            s.span_cycles, s.p50_cycles, s.p99_cycles
+            st.span_cycles, self.p50_cycles, self.p99_cycles
         ));
         out.push_str(&format!(
             "  throughput {:.1} qps at {:.1} MHz\n\n",
-            s.qps, s.fmax_mhz
+            self.qps(),
+            self.fmax_mhz()
         ));
         out.push_str(&format!(
             "Crash recovery: snapshot lsn {}, {} WAL frame(s) replayed, digest {:08x} {}\n",
@@ -237,66 +275,44 @@ impl Serve {
         self.recovered_digest == self.digest
     }
 
-    /// Compares this run's snapshot against a committed baseline.
-    pub fn check(&self, baseline: &str) -> Result<Vec<MetricDiff>, ServeError> {
-        let base = ServeSnapshot::from_json(baseline)?;
-        self.snapshot.diff(&base)
-    }
-
-    /// Renders a `--check` diff, one line per latency metric.
-    pub fn render_diff(diffs: &[MetricDiff]) -> String {
-        let mut out = String::new();
-        for d in diffs {
-            out.push_str(&format!(
-                "  {:<12} baseline {:>10}  current {:>10}  {:+.2}%  {}\n",
-                d.metric,
-                d.baseline,
-                d.current,
-                100.0 * d.delta,
-                if d.regression { "REGRESSION" } else { "ok" }
-            ));
-        }
-        out
-    }
-
     /// The deterministic Prometheus-text exposition of the run's
     /// telemetry. Every value is a simulated-cycle quantity, so the
     /// text is byte-identical on every host and at every
     /// `DBX_HOST_THREADS` setting (CI diffs it byte-for-byte).
     pub fn metrics(&self) -> String {
         let t = &self.telemetry;
-        let s = &self.snapshot;
+        let st = &self.stats;
         let mut w = MetricsWriter::new();
         for (name, help, value) in [
             (
                 "dbx_serve_requests_total",
                 "Requests offered to the service.",
-                s.requests,
+                self.requests,
             ),
             (
                 "dbx_serve_admitted_total",
                 "Requests admitted past the queue.",
-                s.admitted,
+                st.admitted,
             ),
             (
                 "dbx_serve_shed_total",
                 "Requests shed by admission control.",
-                s.shed,
+                st.shed,
             ),
             (
                 "dbx_serve_retried_total",
                 "Retry attempts consumed.",
-                s.retried,
+                st.retried,
             ),
             (
                 "dbx_serve_succeeded_total",
                 "Admitted requests that succeeded.",
-                s.succeeded,
+                st.succeeded,
             ),
             (
                 "dbx_serve_failed_total",
                 "Admitted requests that failed.",
-                s.failed,
+                st.failed,
             ),
         ] {
             w.family(name, help, "counter");
@@ -371,7 +387,7 @@ impl Serve {
     /// deterministic single-line document.
     pub fn metrics_json(&self) -> String {
         let t = &self.telemetry;
-        let s = &self.snapshot;
+        let st = &self.stats;
         let phases = Json::obj(
             Phase::ALL
                 .iter()
@@ -446,12 +462,12 @@ impl Serve {
         );
         let doc = Json::obj([
             ("schema", Json::Str("dbx-harness/telemetry/v1".to_string())),
-            ("requests", Json::Num(s.requests as f64)),
-            ("admitted", Json::Num(s.admitted as f64)),
-            ("shed", Json::Num(s.shed as f64)),
-            ("retried", Json::Num(s.retried as f64)),
-            ("succeeded", Json::Num(s.succeeded as f64)),
-            ("failed", Json::Num(s.failed as f64)),
+            ("requests", Json::Num(self.requests as f64)),
+            ("admitted", Json::Num(st.admitted as f64)),
+            ("shed", Json::Num(st.shed as f64)),
+            ("retried", Json::Num(st.retried as f64)),
+            ("succeeded", Json::Num(st.succeeded as f64)),
+            ("failed", Json::Num(st.failed as f64)),
             ("latency", t.latency.to_json()),
             ("phase_cycles", phases),
             ("tenant_requests", tenants),
@@ -495,33 +511,39 @@ mod tests {
     fn the_serve_benchmark_is_deterministic() {
         let a = run(0.25);
         let b = run(0.25);
-        assert_eq!(a.snapshot, b.snapshot);
-        assert_eq!(a.snapshot.to_json(), b.snapshot.to_json());
+        assert_eq!(a.snapshot(), b.snapshot());
+        assert_eq!(a.snapshot().to_string(), b.snapshot().to_string());
         assert_eq!(a.digest, b.digest);
     }
 
     #[test]
     fn the_burst_exercises_shedding_and_recovery_holds() {
         let s = run(0.25);
-        assert!(s.snapshot.shed > 0, "the burst must overflow the queue");
-        assert!(s.snapshot.succeeded > 0);
-        assert!(s.snapshot.qps > 0.0);
-        assert!(s.snapshot.p99_cycles >= s.snapshot.p50_cycles);
+        assert!(s.stats.shed > 0, "the burst must overflow the queue");
+        assert!(s.stats.succeeded > 0);
+        assert!(s.qps() > 0.0);
+        assert!(s.p99_cycles >= s.p50_cycles);
         assert!(s.recovery_ok(), "recovered digest diverged");
         assert!(s.render().contains("ok"));
     }
 
     #[test]
-    fn self_check_is_clean_and_drift_fails() {
-        let s = run(0.25);
-        let diffs = s.check(&s.snapshot.to_json()).expect("self diff");
-        assert_eq!(diffs.len(), 3);
-        assert!(diffs.iter().all(|d| !d.regression && d.delta == 0.0));
-        let mut drifted = s.snapshot.clone();
-        drifted.shed += 1;
-        assert!(matches!(
-            s.check(&drifted.to_json()),
-            Err(ServeError::CounterDrift { .. })
-        ));
+    fn counter_drift_fails_the_gate_and_latency_gates_at_three_percent() {
+        use dbx_observe::snapshot::compare;
+        let mut s = run(0.25);
+        let baseline = s.snapshot();
+        let fails = |s: &Serve| {
+            compare(&baseline, &s.snapshot())
+                .iter()
+                .any(|d| d.regressed())
+        };
+        assert!(!fails(&s));
+        s.stats.shed += 1;
+        assert!(fails(&s), "an admission counter drift must fail");
+        s.stats.shed -= 1;
+        s.p99_cycles += s.p99_cycles / 50; // +2%
+        assert!(!fails(&s));
+        s.p99_cycles += s.p99_cycles / 50; // ~+4%
+        assert!(fails(&s));
     }
 }

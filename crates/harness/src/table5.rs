@@ -90,7 +90,7 @@ fn host_sort_meps(n: usize, reps: usize, f: impl Fn(&mut [u32])) -> f64 {
             dt
         })
         .collect();
-    let median = dbx_bench::stats::median(&times).expect("reps must be positive");
+    let median = dbx_observe::telemetry::median(&times).expect("reps must be positive");
     n as f64 / median / 1.0e6
 }
 

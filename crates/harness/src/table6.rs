@@ -73,7 +73,7 @@ fn host_swset_meps(n: usize, reps: usize) -> f64 {
             dt
         })
         .collect();
-    let median = dbx_bench::stats::median(&times).expect("reps must be positive");
+    let median = dbx_observe::telemetry::median(&times).expect("reps must be positive");
     (2 * n) as f64 / median / 1.0e6
 }
 

@@ -92,10 +92,10 @@ fn thread_count_never_changes_the_trace() {
 
 #[test]
 fn bench_snapshot_json_is_thread_independent() {
-    let at = |sched| run_suite(&SuiteConfig { scale: 0.02, sched });
-    let seq = at(HostSched::Sequential).to_json();
+    let at = |sched| run_suite(&SuiteConfig { scale: 0.02, sched }).snapshot();
+    let seq = at(HostSched::Sequential).to_string();
     for threads in [2, 4] {
-        let par = at(HostSched::Parallel { threads }).to_json();
+        let par = at(HostSched::Parallel { threads }).to_string();
         assert_eq!(seq, par, "BENCH_perf.json must not depend on host threads");
     }
 }
@@ -107,7 +107,4 @@ fn harness_bench_report_is_thread_independent() {
     assert_eq!(seq.snapshot, par.snapshot);
     assert_eq!(seq.render(), par.render());
     assert_eq!(seq.folded().render(), par.folded().render());
-    // The parallel run checks clean against the sequential baseline.
-    let diffs = par.check(&seq.snapshot.to_json()).expect("cross-check");
-    assert!(diffs.iter().all(|d| !d.regression && d.delta == 0.0));
 }

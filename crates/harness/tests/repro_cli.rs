@@ -1,0 +1,87 @@
+//! The `repro` command line: malformed flags exit 2 with a message
+//! instead of being ignored or panicking, unreadable files exit 1 naming
+//! the path, and `repro diff` / `--check` gate the committed snapshots.
+
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .expect("run repro")
+}
+
+/// Runs `repro`, asserting its exit code, and returns its stderr.
+fn exits(code: i32, args: &[&str]) -> String {
+    let out = repro(args);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(code), "repro {args:?}: {stderr}");
+    stderr
+}
+
+#[test]
+fn a_flag_without_its_value_is_a_usage_error() {
+    let err = exits(2, &["dse", "--json", "--check"]);
+    assert!(err.contains("--check needs a value"), "{err}");
+}
+
+#[test]
+fn a_flag_followed_by_another_flag_is_a_usage_error() {
+    let err = exits(2, &["dse", "--check", "--json"]);
+    assert!(err.contains("--check needs a value"), "{err}");
+}
+
+#[test]
+fn an_unparsable_scale_is_a_usage_error() {
+    let err = exits(
+        2,
+        &["serve", "--scale", "abc", "--check", "BENCH_serve.json"],
+    );
+    assert!(err.contains("abc"), "{err}");
+    exits(2, &["serve", "--scale", "-1"]);
+}
+
+#[test]
+fn an_unparsable_thread_count_is_a_usage_error() {
+    let err = exits(2, &["bench", "--threads", "abc"]);
+    assert!(err.contains("abc"), "{err}");
+}
+
+#[test]
+fn an_unreadable_baseline_exits_1_naming_the_path() {
+    let err = exits(1, &["dse", "--check", "no/such/baseline.json"]);
+    assert!(err.contains("no/such/baseline.json"), "{err}");
+}
+
+#[test]
+fn a_malformed_baseline_exits_1_naming_the_path() {
+    let err = exits(1, &["dse", "--check", "Cargo.toml"]);
+    assert!(err.contains("Cargo.toml"), "{err}");
+}
+
+#[test]
+fn the_committed_dse_baseline_passes_its_gate() {
+    let err = exits(0, &["dse", "--check", "DSE_baseline.json"]);
+    assert!(err.contains("0 regressed"), "{err}");
+}
+
+#[test]
+fn diff_exits_0_on_identical_snapshots_and_1_on_any_change() {
+    exits(0, &["diff", "BENCH_perf.json", "BENCH_perf.json"]);
+    let out = repro(&["diff", "BENCH_perf.json", "BENCH_host.json"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("perf/host/ns_per_cycle: (absent) -> "),
+        "{stdout}"
+    );
+    assert!(stdout.contains("5 changed, 0 regressed"), "{stdout}");
+}
+
+#[test]
+fn diff_needs_two_readable_files() {
+    exits(2, &["diff", "BENCH_perf.json"]);
+    let err = exits(1, &["diff", "BENCH_perf.json", "no/such/file.json"]);
+    assert!(err.contains("no/such/file.json"), "{err}");
+}

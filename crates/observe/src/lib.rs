@@ -15,10 +15,9 @@
 //!   <https://ui.perfetto.dev>.
 //! * [`folded`] — folded stacks (`a;b;c cycles`) for flamegraph tools,
 //!   built from the per-address profile aggregated into program regions.
-//! * [`snapshot`] — a machine-readable benchmark snapshot
-//!   (`BENCH_observe.json`): cycles, elements/cycle, and stall fractions
-//!   per kernel × model × technology cell, diffable against a committed
-//!   baseline so CI catches throughput regressions.
+//! * [`snapshot`] — the keyed-metric snapshot every committed baseline
+//!   (`BENCH_*.json`, `DSE_baseline.json`) is written in, with the one
+//!   3% regression gate and the one diff CI runs against them.
 //!
 //! Timestamps are **cycle-domain**, taken from the simulator's cycle
 //! counter, never from wall clock — a trace is bit-reproducible across
@@ -43,7 +42,7 @@ pub use folded::{folded_line, FoldedStacks};
 pub use json::Json;
 pub use perfetto::{validate_chrome_trace, write_chrome_trace};
 pub use recorder::{Observer, Recorder, SharedSink, TraceSink};
-pub use snapshot::{BenchCell, BenchSnapshot, CellDiff, SnapshotError};
+pub use snapshot::{Better, Metric, Snapshot};
 pub use span::{ArgValue, CounterSample, Span, TrackId};
 pub use telemetry::{
     evaluate_slo, AlertKind, CycleHistogram, MetricsWriter, Outcome, Phase, PhaseBreakdown,

@@ -41,6 +41,35 @@ use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// Exact nearest-rank percentile of an unsorted sample set: the smallest
+/// sample such that at least `p` percent of the set is `<=` it, so the
+/// result is always an actual sample, never an interpolation. `p` is
+/// clamped to `[0, 100]`; `None` iff `samples` is empty. NaN samples sort
+/// as equal to everything (don't feed NaNs). [`CycleHistogram::quantile`]
+/// is the constant-memory approximation of this.
+pub fn percentile<T: Copy + PartialOrd>(samples: &[T], p: f64) -> Option<T> {
+    if samples.is_empty() {
+        return None;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    // Nearest rank: ceil(p/100 * n), 1-based; rank 0 (p = 0) maps to the
+    // minimum.
+    let rank = ((p.clamp(0.0, 100.0) / 100.0) * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.saturating_sub(1)])
+}
+
+/// The nearest-rank 50th percentile (for an even count, the lower-middle
+/// sample). `None` iff empty.
+pub fn median<T: Copy + PartialOrd>(samples: &[T]) -> Option<T> {
+    percentile(samples, 50.0)
+}
+
+/// The nearest-rank 99th percentile. `None` iff empty.
+pub fn p99<T: Copy + PartialOrd>(samples: &[T]) -> Option<T> {
+    percentile(samples, 99.0)
+}
+
 /// Number of buckets in a [`CycleHistogram`]: one for zero plus one per
 /// power of two of the `u64` range.
 pub const HISTOGRAM_BUCKETS: usize = 65;
@@ -583,21 +612,16 @@ impl TelemetryReport {
     /// *the* p99 query for tail attribution. `None` if nothing was
     /// admitted.
     pub fn p99_record(&self) -> Option<&RequestRecord> {
-        let mut lats: Vec<u64> = self
+        let lats: Vec<u64> = self
             .records
             .iter()
             .filter(|r| r.admitted())
             .map(|r| r.latency())
             .collect();
-        if lats.is_empty() {
-            return None;
-        }
-        lats.sort_unstable();
-        let rank = ((0.99 * lats.len() as f64).ceil() as usize).max(1);
-        let p99 = lats[rank - 1];
+        let tail = p99(&lats)?;
         self.records
             .iter()
-            .filter(|r| r.admitted() && r.latency() == p99)
+            .filter(|r| r.admitted() && r.latency() == tail)
             .min_by_key(|r| r.qid)
     }
 }
@@ -745,6 +769,28 @@ mod tests {
     }
 
     #[test]
+    fn nearest_rank_percentile_matches_the_definition() {
+        // The classic nearest-rank example set, deliberately unsorted.
+        let s = [35u64, 15, 50, 20, 40];
+        assert_eq!(percentile(&s, 30.0), Some(20));
+        assert_eq!(percentile(&s, 40.0), Some(20));
+        assert_eq!(median(&s), Some(35));
+        assert_eq!(percentile(&s, 100.0), Some(50));
+        assert_eq!(percentile(&s, 0.0), Some(15));
+        // Out-of-range p clamps instead of indexing out of bounds.
+        assert_eq!(percentile(&s, 250.0), Some(50));
+        assert_eq!(percentile(&s, -10.0), Some(15));
+        // Empty sets yield None, singletons themselves, floats work too.
+        assert_eq!(median::<u64>(&[]), None);
+        assert_eq!(p99(&[42u64]), Some(42));
+        assert_eq!(median(&[0.004f64, 0.002, 0.003]), Some(0.003));
+        // 1..=100: the 99th percentile is sample 99.
+        let round: Vec<u64> = (1..=100).collect();
+        assert_eq!(p99(&round), Some(99));
+        assert_eq!(median(&round), Some(50));
+    }
+
+    #[test]
     fn quantile_error_is_bounded_by_one_bucket() {
         // 1000 distinct values: the estimate must sit in [true, 2*true).
         let values: Vec<u64> = (1..=1000u64).map(|i| i * 37).collect();
@@ -752,11 +798,8 @@ mod tests {
         for v in &values {
             h.record(*v);
         }
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
         for q in [0.5, 0.9, 0.99, 1.0] {
-            let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
-            let truth = sorted[rank - 1];
+            let truth = percentile(&values, 100.0 * q).unwrap();
             let est = h.quantile(q).unwrap();
             assert!(est >= truth, "q={q}: est {est} < truth {truth}");
             assert!(est < truth * 2, "q={q}: est {est} >= 2x truth {truth}");

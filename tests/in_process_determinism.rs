@@ -5,33 +5,45 @@
 //! here as a byte difference even when every fresh process agrees with
 //! the committed baselines.
 
-use dbasip::harness::{observe, serve};
+use dbasip::dbisa::HostSched;
+use dbasip::harness::{bench, dse, observe, serve};
 
 /// Serve snapshot JSON plus its Prometheus-text and JSON expositions.
 fn serve_bytes() -> String {
     let s = serve::run(0.25);
-    format!(
-        "{}\n{}\n{}",
-        s.snapshot.to_json(),
-        s.metrics(),
-        s.metrics_json()
-    )
+    format!("{}\n{}\n{}", s.snapshot(), s.metrics(), s.metrics_json())
 }
 
 fn observe_bytes() -> String {
-    observe::run(0.1).snapshot().to_json()
+    observe::run(0.1).snapshot().to_string()
+}
+
+fn bench_bytes() -> String {
+    bench::run(0.1, HostSched::Sequential).snapshot.to_string()
+}
+
+fn dse_bytes() -> String {
+    dse::run().snapshot().to_string()
 }
 
 #[test]
 fn repeated_snapshots_are_byte_identical_in_one_process() {
     let serve_first = serve_bytes();
     let observe_first = observe_bytes();
-    // Varied order: serve, observe, serve, serve, observe.
+    let bench_first = bench_bytes();
+    let dse_first = dse_bytes();
+    // Varied order: serve, dse, observe, bench, serve, bench, dse,
+    // observe.
     assert_eq!(serve_bytes(), serve_first, "second serve run diverged");
-    assert_eq!(serve_bytes(), serve_first, "third serve run diverged");
+    assert_eq!(dse_bytes(), dse_first, "second dse run diverged");
     assert_eq!(
         observe_bytes(),
         observe_first,
         "second observe run diverged"
     );
+    assert_eq!(bench_bytes(), bench_first, "second bench run diverged");
+    assert_eq!(serve_bytes(), serve_first, "third serve run diverged");
+    assert_eq!(bench_bytes(), bench_first, "third bench run diverged");
+    assert_eq!(dse_bytes(), dse_first, "third dse run diverged");
+    assert_eq!(observe_bytes(), observe_first, "third observe run diverged");
 }

@@ -12,17 +12,17 @@ use dbasip::observe::telemetry::{AlertKind, Outcome, Phase};
 fn telemetry_counters_reconcile_with_admission_control() {
     let s = serve::run(0.25);
     let t = &s.telemetry;
-    let snap = &s.snapshot;
+    let st = &s.stats;
 
     // One record per offered request, in qid order.
-    assert_eq!(t.records.len() as u64, snap.requests);
+    assert_eq!(t.records.len() as u64, s.requests);
     for (i, r) in t.records.iter().enumerate() {
         assert_eq!(r.qid, i as u64);
     }
 
     // The latency histogram holds exactly one sample per admitted
     // request — its count is the number of serve spans.
-    assert_eq!(t.latency.count(), snap.admitted);
+    assert_eq!(t.latency.count(), st.admitted);
 
     // shed + succeeded + failed tiles the workload exactly.
     let shed = t
@@ -40,10 +40,10 @@ fn telemetry_counters_reconcile_with_admission_control() {
         .iter()
         .filter(|r| r.outcome == Outcome::Failed)
         .count() as u64;
-    assert_eq!(shed, snap.shed);
-    assert_eq!(ok, snap.succeeded);
-    assert_eq!(failed, snap.failed);
-    assert_eq!(shed + ok + failed, snap.requests);
+    assert_eq!(shed, st.shed);
+    assert_eq!(ok, st.succeeded);
+    assert_eq!(failed, st.failed);
+    assert_eq!(shed + ok + failed, s.requests);
 
     // Phase cycles tile each admitted record's latency; shed records
     // never accumulate phase time.
@@ -69,13 +69,13 @@ fn telemetry_counters_reconcile_with_admission_control() {
     // Tenant counters cover every request exactly once.
     assert_eq!(
         t.tenant_requests.values().sum::<u64>(),
-        snap.requests,
+        s.requests,
         "tenant partition must tile the workload"
     );
 
     // SLO windows partition the records too.
     let windowed: u64 = t.windows.iter().map(|w| w.requests).sum();
-    assert_eq!(windowed, snap.requests);
+    assert_eq!(windowed, s.requests);
 }
 
 #[test]
@@ -92,7 +92,7 @@ fn the_metrics_exposition_is_byte_deterministic() {
     // The JSON twin carries the same headline counters.
     let json = a.metrics_json();
     assert!(json.contains("\"schema\":\"dbx-harness/telemetry/v1\""));
-    assert!(json.contains(&format!("\"requests\":{}", a.snapshot.requests)));
+    assert!(json.contains(&format!("\"requests\":{}", a.requests)));
 }
 
 #[test]
@@ -138,9 +138,9 @@ fn tail_attribution_names_the_dominant_phase_of_the_worst_queries() {
     // The p99 record's latency is the exact nearest-rank p99 the
     // snapshot reports (the snapshot ranks successful requests; with no
     // failures the populations coincide).
-    assert_eq!(s.snapshot.failed, 0);
+    assert_eq!(s.stats.failed, 0);
     let p99 = t.p99_record().expect("admitted requests exist");
-    assert_eq!(p99.latency(), s.snapshot.p99_cycles);
+    assert_eq!(p99.latency(), s.p99_cycles);
     let report = s.top_tail_report(3);
     assert!(report.contains("dominant="));
 }
