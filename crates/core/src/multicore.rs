@@ -273,7 +273,8 @@ fn run_core_shards(
 
 /// Runs a sorted-set operation across `cores` shared-nothing cores of the
 /// given model. Partitions larger than a core's local store are processed
-/// by that core in sequential batches.
+/// by that core in sequential batches. Zero cores is a
+/// [`SimError::BadProgram`].
 pub fn multicore_set_op(
     model: ProcModel,
     kind: SetOpKind,
@@ -301,7 +302,11 @@ pub fn multicore_set_op_with(
     cores: usize,
     opts: &RunOptions,
 ) -> Result<MultiCoreRun, SimError> {
-    assert!(cores >= 1);
+    if cores == 0 {
+        return Err(SimError::BadProgram(
+            "a multicore run needs at least one core".to_string(),
+        ));
+    }
     let parts = partition(a, b, cores);
     let runs = run_core_shards(model, kind, a, b, &parts, opts);
     let mut result = Vec::new();

@@ -34,6 +34,7 @@ use dbx_observe::{Observer, TrackId};
 pub struct StreamConfig {
     /// Elements per chunk per set (capped per operation so that two
     /// chunks of each set plus the result slots fit the local memories).
+    /// Fewer than 8 is a [`SimError::BadProgram`].
     pub chunk_elems: usize,
     /// Loop unroll factor of the chunk kernel.
     pub unroll: usize,
@@ -132,7 +133,12 @@ pub fn stream_set_op_with(
         0x1800 / 4
     };
     let chunk = cfg.chunk_elems.min(per_kind_cap).min(MAX_CHUNK);
-    assert!(chunk >= 8, "chunk too small");
+    if chunk < 8 {
+        return Err(SimError::BadProgram(format!(
+            "stream chunk of {} elements is below the 8-element minimum",
+            cfg.chunk_elems
+        )));
+    }
 
     let model = ProcModel::Dba2LsuEis { partial: true };
     let wiring = model.wiring().expect("EIS model");

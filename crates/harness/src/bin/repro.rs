@@ -45,9 +45,6 @@
 //!                              (default: DBX_HOST_THREADS, else sequential)
 //!          --json              print the perf snapshot JSON
 //!          --folded <path>     write folded stacks for flamegraph tools
-//!          --host-time         measure host wall-clock for the sweep and
-//!                              add ungated perf/host/* keys (ns per
-//!                              simulated cycle, sim Mcycles/s)
 //!          --check <baseline>  gate against a committed BENCH_perf.json
 //!
 //! serve options:
@@ -340,19 +337,16 @@ fn run_bench(args: &[String], scale: f64) {
     let sched = bench::sched_from_flag(threads.as_deref()).unwrap_or_else(|e| usage_error(&e));
     let folded = flag_value::<String>(args, "--folded");
     let baseline = check_baseline(args);
-    let b = if args.iter().any(|a| a == "--host-time") {
-        bench::run_timed(scale, sched)
-    } else {
-        bench::run(scale, sched)
-    };
+    let suite = bench::run(scale, sched);
+    let snapshot = suite.snapshot();
 
     if let Some(path) = folded {
-        write_file(&path, &b.folded().render());
+        write_file(&path, &suite.folded().render());
     }
     if args.iter().any(|a| a == "--json") {
-        println!("{}", b.snapshot);
+        println!("{snapshot}");
     } else {
-        println!("{}", b.render());
+        println!("{}", suite.render());
     }
-    run_check(baseline, &b.snapshot);
+    run_check(baseline, &snapshot);
 }

@@ -6,7 +6,6 @@
 //! counts, fault accounting, *and* the recorded trace (span order,
 //! per-track clocks), across seeds and set operations.
 
-use dbx_bench::suite::{run_suite, SuiteConfig};
 use dbx_core::multicore::multicore_set_op_with;
 use dbx_core::{HostSched, ProcModel, RunOptions, SetOpKind};
 use dbx_observe::{Observer, TraceSink};
@@ -91,20 +90,18 @@ fn thread_count_never_changes_the_trace() {
 }
 
 #[test]
-fn bench_snapshot_json_is_thread_independent() {
-    let at = |sched| run_suite(&SuiteConfig { scale: 0.02, sched }).snapshot();
-    let seq = at(HostSched::Sequential).to_string();
-    for threads in [2, 4] {
-        let par = at(HostSched::Parallel { threads }).to_string();
-        assert_eq!(seq, par, "BENCH_perf.json must not depend on host threads");
+fn bench_suite_is_thread_independent() {
+    let at = |sched| dbx_harness::bench::run(0.02, sched);
+    let seq = at(HostSched::Sequential);
+    for threads in [2, 3, 4] {
+        let par = at(HostSched::Parallel { threads });
+        assert_eq!(seq, par, "suite drifted at {threads} threads");
+        assert_eq!(
+            seq.snapshot().to_string(),
+            par.snapshot().to_string(),
+            "BENCH_perf.json must not depend on host threads"
+        );
+        assert_eq!(seq.render(), par.render());
+        assert_eq!(seq.folded().render(), par.folded().render());
     }
-}
-
-#[test]
-fn harness_bench_report_is_thread_independent() {
-    let seq = dbx_harness::bench::run(0.02, HostSched::Sequential);
-    let par = dbx_harness::bench::run(0.02, HostSched::Parallel { threads: 3 });
-    assert_eq!(seq.snapshot, par.snapshot);
-    assert_eq!(seq.render(), par.render());
-    assert_eq!(seq.folded().render(), par.folded().render());
 }

@@ -69,14 +69,20 @@ fn the_committed_dse_baseline_passes_its_gate() {
 #[test]
 fn diff_exits_0_on_identical_snapshots_and_1_on_any_change() {
     exits(0, &["diff", "BENCH_perf.json", "BENCH_perf.json"]);
-    let out = repro(&["diff", "BENCH_perf.json", "BENCH_host.json"]);
+    // A copy of the baseline with one ungated value edited.
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let text = std::fs::read_to_string(format!("{root}/BENCH_perf.json")).unwrap();
+    let key = "\"perf/ratio/cores_speedup_max\":{\"value\":";
+    let at = text.find(key).expect("ratio key") + key.len();
+    let edited = format!("{}1{}", &text[..at], &text[at..]);
+    let path = std::env::temp_dir().join(format!("repro_cli_diff_{}.json", std::process::id()));
+    std::fs::write(&path, edited).unwrap();
+    let out = repro(&["diff", "BENCH_perf.json", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).unwrap();
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("perf/host/ns_per_cycle: (absent) -> "),
-        "{stdout}"
-    );
-    assert!(stdout.contains("5 changed, 0 regressed"), "{stdout}");
+    assert!(stdout.contains("perf/ratio/cores_speedup_max"), "{stdout}");
+    assert!(stdout.contains("1 changed, 0 regressed"), "{stdout}");
 }
 
 #[test]

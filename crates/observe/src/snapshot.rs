@@ -1,5 +1,5 @@
 //! The one machine-readable snapshot format behind every committed
-//! baseline (`BENCH_observe.json`, `BENCH_perf.json`, `BENCH_host.json`,
+//! baseline (`BENCH_observe.json`, `BENCH_perf.json`,
 //! `BENCH_serve.json`, `DSE_baseline.json`), with the one regression gate
 //! and the one diff.
 //!
@@ -328,7 +328,6 @@ mod tests {
                 include_str!("../../../BENCH_observe.json"),
             ),
             ("BENCH_perf.json", include_str!("../../../BENCH_perf.json")),
-            ("BENCH_host.json", include_str!("../../../BENCH_host.json")),
             (
                 "BENCH_serve.json",
                 include_str!("../../../BENCH_serve.json"),

@@ -155,3 +155,67 @@ fn adjacent_values_edge_case() {
         assert_eq!(r.result.len(), 400, "{}", model.name());
     }
 }
+
+/// The two design choices no other test ablates: the scalar baseline's
+/// branch predictor (Section 2.3's "hardly predictable branch") and its
+/// D-cache geometry (what the local store replaces). Neither may change
+/// a result bit; at least one setting must change the cycle count.
+#[test]
+fn predictor_and_dcache_ablations_change_cycles_not_results() {
+    use dbasip::cpu::{PredictorKind, Processor};
+    use dbasip::dbisa::kernels::scalar;
+    use dbasip::dbisa::runner::set_layout;
+    use dbasip::mem::CacheConfig;
+
+    let (a, b) = dbasip::workloads::set_pair_with_selectivity(2000, 2000, 0.5, 0xbe7c4);
+    let base = ProcModel::Mini108.cpu_config();
+    let cache = |size_kib: usize, line_bytes: usize| CacheConfig {
+        size_bytes: size_kib * 1024,
+        line_bytes,
+        ..CacheConfig::mini108_default()
+    };
+    let mut settings = Vec::new();
+    for (label, predictor) in [
+        ("always_not_taken", PredictorKind::AlwaysNotTaken),
+        ("static_btfn", PredictorKind::StaticBtfn),
+        ("two_bit_128", PredictorKind::TwoBit { entries: 128 }),
+    ] {
+        let mut cfg = base.clone();
+        cfg.predictor = predictor;
+        settings.push((label, cfg));
+    }
+    for (label, dcache) in [
+        ("dcache_8k_32B", cache(8, 32)),
+        ("dcache_8k_64B", cache(8, 64)),
+        ("dcache_2k_32B", cache(2, 32)),
+    ] {
+        let mut cfg = base.clone();
+        cfg.dcache = Some(dcache);
+        settings.push((label, cfg));
+    }
+
+    let layout = set_layout(ProcModel::Mini108, a.len() as u32, b.len() as u32).unwrap();
+    let program = scalar::set_op_program(SetOpKind::Intersect, &layout).unwrap();
+    let runs: Vec<_> = settings
+        .into_iter()
+        .map(|(label, cfg)| {
+            let mut p = Processor::new(cfg).unwrap();
+            p.load_program(program.clone()).unwrap();
+            p.mem.poke_words(layout.a_base, &a).unwrap();
+            p.mem.poke_words(layout.b_base, &b).unwrap();
+            let cycles = p.run(1_000_000_000).unwrap().cycles;
+            let len = ((p.ar[6] - layout.c_base) / 4) as usize;
+            (label, p.mem.peek_words(layout.c_base, len).unwrap(), cycles)
+        })
+        .collect();
+
+    let expect = reference(SetOpKind::Intersect, &a, &b);
+    for (label, result, _) in &runs {
+        assert_eq!(result, &expect, "{label} changed the result");
+    }
+    let cycles: Vec<(&str, u64)> = runs.iter().map(|(l, _, c)| (*l, *c)).collect();
+    assert!(
+        cycles.iter().any(|&(_, c)| c != cycles[0].1),
+        "no setting moved the cycle count: {cycles:?}"
+    );
+}

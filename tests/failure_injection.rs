@@ -169,3 +169,22 @@ fn kernel_errors_surface_through_the_runner() {
         assert!(matches!(e, SimError::BadProgram(_)));
     }
 }
+
+#[test]
+fn a_stream_chunk_below_the_minimum_is_a_typed_error() {
+    use dbasip::dbisa::stream::{stream_set_op, StreamConfig};
+    let cfg = StreamConfig {
+        chunk_elems: 4,
+        ..StreamConfig::default()
+    };
+    let e = stream_set_op(SetOpKind::Intersect, &[1, 2, 3], &[2, 3], cfg).unwrap_err();
+    assert!(matches!(e, SimError::BadProgram(_)), "{e:?}");
+}
+
+#[test]
+fn a_multicore_run_on_zero_cores_is_a_typed_error() {
+    use dbasip::dbisa::multicore::multicore_set_op;
+    let model = ProcModel::Dba2LsuEis { partial: true };
+    let e = multicore_set_op(model, SetOpKind::Intersect, &[1, 2], &[2], 0).unwrap_err();
+    assert!(matches!(e, SimError::BadProgram(_)), "{e:?}");
+}

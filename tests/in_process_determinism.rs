@@ -19,7 +19,9 @@ fn observe_bytes() -> String {
 }
 
 fn bench_bytes() -> String {
-    bench::run(0.1, HostSched::Sequential).snapshot.to_string()
+    bench::run(0.1, HostSched::Sequential)
+        .snapshot()
+        .to_string()
 }
 
 fn dse_bytes() -> String {
