@@ -14,6 +14,8 @@
 //! with a validity count; set inputs must be strictly increasing within
 //! each window (RID sets are duplicate-free).
 
+use crate::states::{ResultStates, SENTINEL};
+
 /// The sorted-set operation selected by a `SOP` instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SetOpKind {
@@ -350,7 +352,7 @@ pub struct SopOutcome {
     /// Elements retired from window B.
     pub consume_b: usize,
     /// Values emitted to the Result states, in sorted order (<= 8).
-    pub emit: Vec<u32>,
+    pub emit: ResultStates,
     /// Updated emitted flags for the *unretired* suffix of window A, still
     /// indexed by the pre-shift window positions.
     pub emitted_a: [bool; 4],
@@ -358,15 +360,61 @@ pub struct SopOutcome {
     pub emitted_b: [bool; 4],
 }
 
+/// Lane mask (bit `i` = lane `i`) of the window lanes that are `<= x`.
+#[inline]
+fn lanes_le(w: &[u32; 4], x: u32) -> u8 {
+    w.iter()
+        .enumerate()
+        .fold(0, |m, (i, &v)| m | ((v <= x) as u8) << i)
+}
+
+/// Lane mask of a per-lane flag array.
+#[inline]
+fn flag_mask(f: &[bool; 4]) -> u8 {
+    f.iter()
+        .enumerate()
+        .fold(0, |m, (i, &b)| m | (b as u8) << i)
+}
+
+/// Per-lane flags of a lane mask.
+#[inline]
+fn mask_flags(m: u8) -> [bool; 4] {
+    [m & 1 != 0, m & 2 != 0, m & 4 != 0, m & 8 != 0]
+}
+
+/// The lanes of `w` selected by `mask`, front-aligned in lane order, with
+/// the sentinel behind them. Every lane is written at the running count,
+/// which only advances on a selected lane — no data-dependent branch.
+#[inline]
+fn compact(w: &[u32; 4], mask: u8) -> [u32; 4] {
+    let mut out = [SENTINEL; 4];
+    let mut n = 0;
+    for (i, &v) in w.iter().enumerate() {
+        let keep = mask >> i & 1 != 0;
+        // `n <= i < 4`; the `& 3` only restates that bound.
+        out[n & 3] = if keep { v } else { SENTINEL };
+        n += keep as usize;
+    }
+    out
+}
+
 /// Evaluates one sorted-set `SOP` over two windows.
 ///
 /// * `wa`, `va`: window A values (front-aligned) and its valid count;
-///   lanes `>= va` are ignored. Values must be strictly increasing.
+///   lanes `>= va` are ignored. Values must be strictly increasing and
+///   below [`SENTINEL`].
 /// * `emitted_a` marks A lanes already emitted by a previous `SOP` in
 ///   full-window-retirement mode.
 /// * `partial`: with partial loading the windows retire by the comparison
 ///   boundary (`LD_P` refills them); without it only fully-covered windows
 ///   retire (the window whose max is the boundary).
+///
+/// Every decision is a lane mask computed from the all-to-all comparison:
+/// candidates (valid, `<=` the boundary, not yet emitted), matches (equal
+/// to a valid lane of the other window), and retirement (the leading lanes
+/// `<=` the other window's max). Union emission merges the two compacted
+/// candidate vectors with the bitonic [`merge8`] network, after dropping
+/// the B candidates that duplicate an A candidate.
 ///
 /// Both windows must be non-empty; the instruction no-ops otherwise (the
 /// caller checks).
@@ -381,155 +429,67 @@ pub fn sop_set(
     emitted_b: &[bool; 4],
     partial: bool,
 ) -> SopOutcome {
-    let mut out = SopOutcome {
-        consume_a: 0,
-        consume_b: 0,
-        emit: Vec::with_capacity(8),
-        emitted_a: [false; 4],
-        emitted_b: [false; 4],
-    };
-    sop_set_into(
-        kind, wa, va, emitted_a, wb, vb, emitted_b, partial, &mut out,
-    );
-    out
-}
-
-/// [`sop_set`] writing into caller-owned storage: `out.emit` is cleared
-/// and refilled (its capacity is reused), every other field overwritten.
-/// This is the per-cycle form — the simulated datapath evaluates one
-/// `SOP` per cycle and must not hit the allocator to do it.
-#[allow(clippy::too_many_arguments)] // mirrors the instruction's operand list
-pub fn sop_set_into(
-    kind: SetOpKind,
-    wa: &[u32; 4],
-    va: usize,
-    emitted_a: &[bool; 4],
-    wb: &[u32; 4],
-    vb: usize,
-    emitted_b: &[bool; 4],
-    partial: bool,
-    out: &mut SopOutcome,
-) {
     debug_assert!((1..=4).contains(&va) && (1..=4).contains(&vb));
     let amax = wa[va - 1];
     let bmax = wb[vb - 1];
     let boundary = amax.min(bmax);
-    let m = all_to_all(wa, wb);
+    let eq = all_to_all(wa, wb).eq;
+    let valid_a = (1u8 << va) - 1;
+    let valid_b = (1u8 << vb) - 1;
+    let (ea, eb) = (flag_mask(emitted_a), flag_mask(emitted_b));
+    let cand_a = valid_a & lanes_le(wa, boundary) & !ea;
+    let cand_b = valid_b & lanes_le(wb, boundary) & !eb;
 
-    // Candidate lanes: valid, <= boundary, not yet emitted.
-    let mut cand_a = [false; 4];
-    let mut cand_b = [false; 4];
-    for i in 0..va {
-        cand_a[i] = wa[i] <= boundary && !emitted_a[i];
-    }
-    for j in 0..vb {
-        cand_b[j] = wb[j] <= boundary && !emitted_b[j];
-    }
-    // Match flags against *valid* lanes of the other window.
-    let mut match_a = [false; 4];
-    let mut match_b = [false; 4];
-    #[allow(clippy::needless_range_loop)] // index form mirrors the eq matrix
-    for i in 0..va {
-        for j in 0..vb {
-            if m.eq & (1 << (i * 4 + j)) != 0 {
-                match_a[i] = true;
-                match_b[j] = true;
-            }
-        }
+    // Row `i` of the equality matrix, restricted to valid B lanes: A lane
+    // `i` matches when it is non-zero; the B lanes it covers duplicate an
+    // A candidate when lane `i` is one.
+    let mut match_a = 0u8;
+    let mut dup_b = 0u8;
+    for i in 0..4 {
+        let row = (eq >> (4 * i)) as u8 & valid_b;
+        match_a |= ((row != 0) as u8) << i;
+        dup_b |= row & 0u8.wrapping_sub(cand_a >> i & 1);
     }
 
-    // Emission: a sorted merge of the candidate lanes of both windows.
-    // Candidates within each window are increasing, so a two-pointer merge
-    // models the shuffle network.
-    let emit = &mut out.emit;
-    emit.clear();
-    match kind {
+    let emit = match kind {
         SetOpKind::Intersect => {
-            for i in 0..va {
-                if cand_a[i] && match_a[i] {
-                    emit.push(wa[i]);
-                }
-            }
+            let m = cand_a & match_a;
+            ResultStates::from_beat(compact(wa, m), m.count_ones() as usize)
         }
         SetOpKind::Difference => {
-            for i in 0..va {
-                if cand_a[i] && !match_a[i] {
-                    emit.push(wa[i]);
-                }
-            }
+            let m = cand_a & !match_a;
+            ResultStates::from_beat(compact(wa, m), m.count_ones() as usize)
         }
         SetOpKind::Union => {
-            let mut i = 0;
-            let mut j = 0;
-            loop {
-                while i < va && !cand_a[i] {
-                    i += 1;
-                }
-                while j < vb && !cand_b[j] {
-                    j += 1;
-                }
-                match (i < va, j < vb) {
-                    (false, false) => break,
-                    (true, false) => {
-                        emit.push(wa[i]);
-                        i += 1;
-                    }
-                    (false, true) => {
-                        emit.push(wb[j]);
-                        j += 1;
-                    }
-                    (true, true) => {
-                        if wa[i] < wb[j] {
-                            emit.push(wa[i]);
-                            i += 1;
-                        } else if wb[j] < wa[i] {
-                            emit.push(wb[j]);
-                            j += 1;
-                        } else {
-                            emit.push(wa[i]); // equal pair emitted once
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-            }
+            let mb = cand_b & !dup_b;
+            let n = (cand_a.count_ones() + mb.count_ones()) as usize;
+            ResultStates::new(merge8(compact(wa, cand_a), compact(wb, mb)), n)
         }
-    }
+    };
 
-    // Retirement.
+    // Retirement: with partial loading, the leading lanes up to the other
+    // window's max; otherwise the window owning the boundary, whole.
     let (consume_a, consume_b) = if partial {
-        // Retire everything <= the other window's max (boundary-based).
-        let ca = (0..va).take_while(|&i| wa[i] <= bmax).count();
-        let cb = (0..vb).take_while(|&j| wb[j] <= amax).count();
-        (ca, cb)
+        (
+            (valid_a & lanes_le(wa, bmax)).trailing_ones() as usize,
+            (valid_b & lanes_le(wb, amax)).trailing_ones() as usize,
+        )
     } else {
-        // Full windows only: the window owning the boundary retires.
-        match amax.cmp(&bmax) {
-            std::cmp::Ordering::Equal => (va, vb),
-            std::cmp::Ordering::Less => (va, 0),
-            std::cmp::Ordering::Greater => (0, vb),
-        }
+        (
+            if amax <= bmax { va } else { 0 },
+            if bmax <= amax { vb } else { 0 },
+        )
     };
 
     // Updated emitted flags (pre-shift positions). Retired lanes keep
     // their flags; LD_P discards them on shift.
-    let mut out_ea = *emitted_a;
-    let mut out_eb = *emitted_b;
-    for i in 0..va {
-        if cand_a[i] {
-            out_ea[i] = true;
-        }
+    SopOutcome {
+        consume_a,
+        consume_b,
+        emit,
+        emitted_a: mask_flags(ea | cand_a),
+        emitted_b: mask_flags(eb | cand_b),
     }
-    for j in 0..vb {
-        if cand_b[j] {
-            out_eb[j] = true;
-        }
-    }
-
-    out.consume_a = consume_a;
-    out.consume_b = consume_b;
-    out.emitted_a = out_ea;
-    out.emitted_b = out_eb;
 }
 
 #[cfg(test)]
@@ -605,7 +565,7 @@ mod tests {
             &no_flags(),
             true,
         );
-        assert_eq!(out.emit, vec![3, 5]);
+        assert_eq!(out.emit[..], [3, 5]);
         assert_eq!(out.consume_a, 3, "1,3,5 <= bmax 6");
         assert_eq!(out.consume_b, 4, "all of B <= amax 9");
     }
@@ -622,7 +582,7 @@ mod tests {
             &no_flags(),
             false,
         );
-        assert_eq!(out.emit, vec![3, 5]);
+        assert_eq!(out.emit[..], [3, 5]);
         assert_eq!(
             (out.consume_a, out.consume_b),
             (0, 4),
@@ -646,7 +606,7 @@ mod tests {
             true,
         );
         // 9 matches nothing; no duplicates of 3/5.
-        assert_eq!(out.emit, Vec::<u32>::new());
+        assert!(out.emit.is_empty());
     }
 
     #[test]
@@ -661,7 +621,7 @@ mod tests {
             &no_flags(),
             false,
         );
-        assert_eq!(out.emit, vec![2, 8]);
+        assert_eq!(out.emit[..], [2, 8]);
         assert_eq!((out.consume_a, out.consume_b), (4, 4));
     }
 
@@ -678,7 +638,7 @@ mod tests {
             true,
         );
         // boundary = 6: candidates A {1,3,5}, B {3,4,5,6}.
-        assert_eq!(out.emit, vec![1, 3, 4, 5, 6]);
+        assert_eq!(out.emit[..], [1, 3, 4, 5, 6]);
     }
 
     #[test]
@@ -694,7 +654,7 @@ mod tests {
             true,
         );
         // boundary = min(4,7)=4: candidates A all, B none.
-        assert_eq!(out.emit, vec![1, 2, 3, 4]);
+        assert_eq!(out.emit[..], [1, 2, 3, 4]);
 
         let out = sop_set(
             SetOpKind::Union,
@@ -706,7 +666,7 @@ mod tests {
             &no_flags(),
             true,
         );
-        assert_eq!(out.emit, vec![1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(out.emit[..], [1, 2, 3, 4, 5, 6, 7]);
         assert_eq!((out.consume_a, out.consume_b), (4, 4));
     }
 
@@ -722,7 +682,7 @@ mod tests {
             &no_flags(),
             true,
         );
-        assert_eq!(out.emit, vec![1], "3 and 5 match; 9 beyond boundary");
+        assert_eq!(out.emit[..], [1], "3 and 5 match; 9 beyond boundary");
         assert_eq!(out.consume_a, 3);
     }
 
@@ -739,7 +699,7 @@ mod tests {
             &no_flags(),
             true,
         );
-        assert_eq!(out.emit, vec![20]);
+        assert_eq!(out.emit[..], [20]);
         assert_eq!(out.consume_a, 2, "10, 20 <= bmax 25");
         assert_eq!(out.consume_b, 2, "both <= amax 40");
     }
@@ -802,7 +762,7 @@ mod tests {
             for partial in [false, true] {
                 let fixed = sop_set(kind, &wa, 4, &[false; 4], &wb, 4, &[false; 4], partial);
                 let gen = sop_set_n(kind, &wa, 4, &[false; 4], &wb, 4, &[false; 4], partial);
-                assert_eq!(fixed.emit, gen.emit, "{kind:?} {partial}");
+                assert_eq!(fixed.emit[..], gen.emit[..], "{kind:?} {partial}");
                 assert_eq!(fixed.consume_a, gen.consume_a);
                 assert_eq!(fixed.consume_b, gen.consume_b);
                 assert_eq!(fixed.emitted_a.to_vec(), gen.emitted_a);

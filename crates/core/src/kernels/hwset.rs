@@ -50,7 +50,7 @@ pub fn set_op_program(
     b.inst(e_s(op::WUR_END_B, A2));
     b.movi(A2, layout.c_base as i32);
     b.inst(e_s(op::WUR_PTR_C, A2));
-    emit_core_and_epilogue(&mut b, kind, wiring, unroll);
+    emit_core_and_epilogue(&mut b, kind, wiring, unroll)?;
     b.build()
 }
 
@@ -78,7 +78,7 @@ pub fn set_op_program_param(
     b.inst(e_s(op::WUR_END_B, A2));
     b.l32i(A2, A3, 16);
     b.inst(e_s(op::WUR_PTR_C, A2));
-    emit_core_and_epilogue(&mut b, kind, wiring, unroll);
+    emit_core_and_epilogue(&mut b, kind, wiring, unroll)?;
     b.build()
 }
 
@@ -87,8 +87,12 @@ fn emit_core_and_epilogue(
     kind: SetOpKind,
     wiring: &DbExtConfig,
     unroll: usize,
-) {
-    assert!(unroll >= 1);
+) -> Result<(), SimError> {
+    if unroll == 0 {
+        return Err(SimError::BadProgram(
+            "set-op core loop needs an unroll factor of at least 1".to_string(),
+        ));
+    }
     let store_sop = match kind {
         SetOpKind::Intersect => op::STORE_SOP_ISECT,
         SetOpKind::Union => op::STORE_SOP_UNION,
@@ -142,6 +146,7 @@ fn emit_core_and_epilogue(
     b.label("finish");
     b.inst(e_r(op::RUR_OUT_CNT, A2));
     b.halt();
+    Ok(())
 }
 
 /// Emits the epilogue that drains window/load buffers of one stream into

@@ -28,8 +28,8 @@
 //! `SOP` with a `LD_P` in one cycle is rejected as a structural hazard —
 //! in hardware that combination is what blows up the critical path.
 
-use crate::datapath::{merge8, sop_set_into, sort4, SetOpKind, SopOutcome};
-use crate::states::{DbStates, SENTINEL};
+use crate::datapath::{merge8, sop_set, sort4, SetOpKind};
+use crate::states::{DbStates, ResultStates};
 use dbx_cpu::ext::{Extension, LsuUse, OpDescriptor, TieCtx};
 use dbx_cpu::{OpArgs, SimError};
 
@@ -191,11 +191,6 @@ pub struct DbExtension {
     cfg: DbExtConfig,
     /// The TIE states (public for inspection in tests and reports).
     pub st: DbStates,
-    /// Scratch outcome for the per-cycle `SOP` evaluation. Not
-    /// architectural state — it only exists so the emit buffer's capacity
-    /// is reused across cycles instead of reallocated (its contents are
-    /// dead between `SOP`s: `u_sop` swaps the emitted values out).
-    sop_scratch: SopOutcome,
 }
 
 impl DbExtension {
@@ -204,13 +199,6 @@ impl DbExtension {
         DbExtension {
             cfg,
             st: DbStates::with_load_buf_cap(cfg.load_buf_cap),
-            sop_scratch: SopOutcome {
-                consume_a: 0,
-                consume_b: 0,
-                emit: Vec::with_capacity(8),
-                emitted_a: [false; 4],
-                emitted_b: [false; 4],
-            },
         }
     }
 
@@ -238,8 +226,7 @@ impl DbExtension {
         if k == 0 {
             return Ok(());
         }
-        let mut vals = [0u32; crate::states::STORE_FIFO_CAP];
-        let k = s.fifo.take_into(k, &mut vals);
+        let (vals, k) = s.fifo.take(k);
         ctx.mem
             .store_lanes(self.cfg.lsu_st, s.ptr_c, &vals[..k], ctx.counters)?;
         s.ptr_c += 4 * k as u32;
@@ -250,10 +237,8 @@ impl DbExtension {
     fn u_st_s(&mut self) {
         let s = &mut self.st;
         if !s.result.is_empty() && s.fifo.free() >= s.result.len() {
-            s.fifo.push_slice(&s.result);
-            // `clear` (not `take`) so the buffer's capacity survives for
-            // the next emit — the steady state allocates nothing.
-            s.result.clear();
+            s.fifo.push(s.result.lanes(), s.result.len());
+            s.result = ResultStates::EMPTY;
         }
     }
 
@@ -269,8 +254,7 @@ impl DbExtension {
         if !s.a_window_ready() || !s.b_window_ready() {
             return; // bubble: supply has not caught up
         }
-        let out = &mut self.sop_scratch;
-        sop_set_into(
+        let out = sop_set(
             kind,
             &s.word_a.vals,
             s.word_a.cnt,
@@ -279,11 +263,8 @@ impl DbExtension {
             s.word_b.cnt,
             &s.word_b.emitted,
             self.cfg.partial_loading,
-            out,
         );
-        // `result` is empty here (checked above); the swap hands its spare
-        // capacity to the scratch buffer for the next SOP.
-        std::mem::swap(&mut s.result, &mut out.emit);
+        s.result = out.emit;
         s.consumed_a = out.consume_a;
         s.consumed_b = out.consume_b;
         s.word_a.emitted = out.emitted_a;
@@ -339,19 +320,17 @@ impl DbExtension {
             Choice::Wait => {}
             Choice::Drain => {
                 if s.merge_primed {
-                    s.result.clear();
-                    s.result.extend_from_slice(&s.word_a.vals);
+                    s.result = ResultStates::from_beat(s.word_a.vals, 4);
                     s.word_a = Default::default();
                     s.merge_primed = false;
                 }
                 s.done = true;
             }
             Choice::A | Choice::B => {
-                let mut block = [SENTINEL; 4];
-                let got = if matches!(choice, Choice::A) {
-                    s.load_a.take_into(4, &mut block)
+                let (block, got) = if matches!(choice, Choice::A) {
+                    s.load_a.take(4)
                 } else {
-                    s.load_b.take_into(4, &mut block)
+                    s.load_b.take(4)
                 };
                 debug_assert_eq!(got, 4, "merge consumes whole blocks");
                 if !s.merge_primed {
@@ -359,10 +338,9 @@ impl DbExtension {
                     s.word_a.cnt = 4;
                     s.merge_primed = true;
                 } else {
-                    let m = merge8(s.word_a.vals, block);
-                    s.result.clear();
-                    s.result.extend_from_slice(&m[..4]);
-                    s.word_a.vals.copy_from_slice(&m[4..]);
+                    let [m0, m1, m2, m3, m4, m5, m6, m7] = merge8(s.word_a.vals, block);
+                    s.result = ResultStates::from_beat([m0, m1, m2, m3], 4);
+                    s.word_a.vals = [m4, m5, m6, m7];
                 }
             }
         }
@@ -405,7 +383,7 @@ impl DbExtension {
         let mut vals = [0u32; 4];
         ctx.mem
             .load_lanes_into(lsu, *ptr, &mut vals[..n], ctx.counters)?;
-        buf.push_slice(&vals[..n]);
+        buf.push(&vals, n);
         *ptr += 4 * n as u32;
         Ok(())
     }
@@ -468,7 +446,9 @@ impl DbExtension {
         if n > s.fifo.free() {
             return; // kernel must flush the FIFO first
         }
-        s.fifo.push_slice(&vals[..n]);
+        for (i, beat) in vals.as_chunks::<8>().0.iter().enumerate() {
+            s.fifo.push(beat, n.saturating_sub(8 * i).min(8));
+        }
         *w = Default::default();
         buf.clear();
     }
@@ -480,8 +460,7 @@ impl DbExtension {
         }
         let to_beat = 4 - ((s.ptr_c as usize % 16) / 4);
         let k = s.cpy.len().min(to_beat);
-        let mut vals = [0u32; crate::states::STORE_FIFO_CAP];
-        let k = s.cpy.take_into(k, &mut vals);
+        let (vals, k) = s.cpy.take(k);
         ctx.mem
             .store_lanes(self.cfg.lsu_st, s.ptr_c, &vals[..k], ctx.counters)?;
         s.ptr_c += 4 * k as u32;
@@ -518,7 +497,7 @@ impl DbExtension {
             debug_assert_eq!(n, 4, "presort input must be a multiple of 4");
             vals = sort4(vals);
         }
-        s.cpy.push_slice(&vals[..n]);
+        s.cpy.push(&vals, n);
         *ptr += 4 * n as u32;
         Ok(())
     }

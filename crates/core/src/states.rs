@@ -22,10 +22,18 @@ pub const LOAD_BUF_CAP: usize = 8;
 /// an undrained partial beat).
 pub const STORE_FIFO_CAP: usize = 12;
 
+/// Slots past [`STORE_FIFO_CAP`] that always hold [`SENTINEL`], so that a
+/// push of up to eight lanes and a take of up to four are fixed-width
+/// copies at a variable offset rather than variable-length `memmove`s.
+const FIFO_SLACK: usize = 8;
+
 /// A small shifting FIFO of set elements (a Load buffer or the store path).
+///
+/// Invariant: every slot at or past `len` holds [`SENTINEL`]. Pushes write
+/// a whole beat and takes shift the whole array, both relying on it.
 #[derive(Debug, Clone)]
 pub struct ElemFifo {
-    buf: [u32; STORE_FIFO_CAP],
+    buf: [u32; STORE_FIFO_CAP + FIFO_SLACK],
     len: usize,
     cap: usize,
 }
@@ -35,7 +43,7 @@ impl ElemFifo {
     pub fn new(cap: usize) -> Self {
         assert!(cap <= STORE_FIFO_CAP);
         ElemFifo {
-            buf: [SENTINEL; STORE_FIFO_CAP],
+            buf: [SENTINEL; STORE_FIFO_CAP + FIFO_SLACK],
             len: 0,
             cap,
         }
@@ -64,37 +72,46 @@ impl ElemFifo {
         self.cap
     }
 
-    /// Appends elements; panics if capacity would be exceeded (callers
-    /// check `free()` first — overflow is a datapath bug, not a data case).
+    /// Appends `lanes[..n]` (`W` <= 8); panics if capacity would be
+    /// exceeded (callers check `free()` first — overflow is a datapath
+    /// bug, not a data case).
     #[inline]
-    pub fn push_slice(&mut self, vals: &[u32]) {
-        assert!(vals.len() <= self.free(), "FIFO overflow: structural bug");
-        self.buf[self.len..self.len + vals.len()].copy_from_slice(vals);
-        self.len += vals.len();
-    }
-
-    /// Removes and returns up to `n` front elements.
-    pub fn take(&mut self, n: usize) -> Vec<u32> {
-        let mut out = [0u32; STORE_FIFO_CAP];
-        let k = self.take_into(n, &mut out);
-        out[..k].to_vec()
-    }
-
-    /// Removes up to `n` front elements into `out` (which must hold
-    /// them); returns how many were moved. The allocation-free twin of
-    /// [`Self::take`] for the per-cycle datapath.
-    #[inline]
-    pub fn take_into(&mut self, n: usize, out: &mut [u32]) -> usize {
-        let k = n.min(self.len);
-        out[..k].copy_from_slice(&self.buf[..k]);
-        self.buf.copy_within(k..self.len, 0);
-        self.len -= k;
-        // Only the k slots vacated by the shift can hold stale values; slots
-        // past them were already sentinel-filled (only `[..len]` is readable).
-        for s in &mut self.buf[self.len..self.len + k] {
-            *s = SENTINEL;
+    pub fn push<const W: usize>(&mut self, lanes: &[u32; W], n: usize) {
+        assert!(
+            W <= FIFO_SLACK && n <= W && n <= self.free(),
+            "FIFO overflow: structural bug"
+        );
+        // `len + W` <= 12 + 8 slots. Lanes past `n` land on slots that
+        // already hold the sentinel and keep it.
+        for (i, (slot, &v)) in self.buf[self.len..self.len + W]
+            .iter_mut()
+            .zip(lanes)
+            .enumerate()
+        {
+            *slot = if i < n { v } else { SENTINEL };
         }
-        k
+        self.len += n;
+    }
+
+    /// Removes up to `n` (<= 4) front elements. Returns them front-aligned
+    /// in one beat whose lanes past the count hold [`SENTINEL`], and the
+    /// count.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> ([u32; 4], usize) {
+        assert!(n <= 4, "at most one beat per take");
+        let k = n.min(self.len);
+        let mut beat = [SENTINEL; 4];
+        for (i, lane) in beat.iter_mut().enumerate() {
+            if i < k {
+                *lane = self.buf[i];
+            }
+        }
+        // Shift by `k` <= 4 with one fixed 12-slot copy: slots `k..k + 12`
+        // become `0..12`. The slots this vacates below 12 receive sentinel
+        // slots from at or past the old `len`, and the slack is untouched.
+        self.buf.copy_within(k..k + STORE_FIFO_CAP, 0);
+        self.len -= k;
+        (beat, k)
     }
 
     /// Peeks the front element.
@@ -111,7 +128,59 @@ impl ElemFifo {
     /// Clears the FIFO.
     pub fn clear(&mut self) {
         self.len = 0;
-        self.buf = [SENTINEL; STORE_FIFO_CAP];
+        self.buf = [SENTINEL; STORE_FIFO_CAP + FIFO_SLACK];
+    }
+}
+
+/// The Result states: up to eight set elements (one union emission) in
+/// fixed storage. Lanes past the length hold [`SENTINEL`]; derefs to the
+/// valid elements.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResultStates {
+    lanes: [u32; 8],
+    len: usize,
+}
+
+impl ResultStates {
+    /// No elements.
+    pub const EMPTY: ResultStates = ResultStates {
+        lanes: [SENTINEL; 8],
+        len: 0,
+    };
+
+    /// The first `len` of `lanes`; the rest are replaced by the sentinel.
+    #[inline]
+    pub fn new(lanes: [u32; 8], len: usize) -> Self {
+        assert!(len <= 8, "the Result states hold eight elements");
+        let mut out = Self::EMPTY;
+        for (i, (o, v)) in out.lanes.iter_mut().zip(lanes).enumerate() {
+            if i < len {
+                *o = v;
+            }
+        }
+        out.len = len;
+        out
+    }
+
+    /// The first `len` (<= 4) elements of one beat.
+    #[inline]
+    pub fn from_beat(vals: [u32; 4], len: usize) -> Self {
+        let [a, b, c, d] = vals;
+        Self::new([a, b, c, d, SENTINEL, SENTINEL, SENTINEL, SENTINEL], len)
+    }
+
+    /// All eight lanes, sentinel past the length.
+    #[inline]
+    pub fn lanes(&self) -> &[u32; 8] {
+        &self.lanes
+    }
+}
+
+impl std::ops::Deref for ResultStates {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.lanes[..self.len]
     }
 }
 
@@ -143,23 +212,26 @@ impl Window {
     pub fn shift_refill(&mut self, consumed: usize, src: &mut ElemFifo) {
         debug_assert!(consumed <= self.cnt);
         let remain = self.cnt - consumed;
+        let want = 4 - remain;
+        let (beat, got) = if want > 0 && !src.is_empty() {
+            src.take(want)
+        } else {
+            ([SENTINEL; 4], 0)
+        };
+        // Lane `i` keeps old lane `i + consumed` below `remain` and takes
+        // refill lane `i - remain` above it; the `& 3` only restates the
+        // bounds (both indices are < 4 where they are used).
+        let (old_vals, old_emitted) = (self.vals, self.emitted);
         for i in 0..4 {
-            if i < remain {
-                self.vals[i] = self.vals[i + consumed];
-                self.emitted[i] = self.emitted[i + consumed];
+            let kept = i < remain;
+            self.vals[i] = if kept {
+                old_vals[(i + consumed) & 3]
             } else {
-                self.vals[i] = SENTINEL;
-                self.emitted[i] = false;
-            }
+                beat[i.wrapping_sub(remain) & 3]
+            };
+            self.emitted[i] = kept && old_emitted[(i + consumed) & 3];
         }
-        self.cnt = remain;
-        let want = 4 - self.cnt;
-        if want > 0 && !src.is_empty() {
-            let mut got = [0u32; 4];
-            let k = src.take_into(want, &mut got);
-            self.vals[self.cnt..self.cnt + k].copy_from_slice(&got[..k]);
-            self.cnt += k;
-        }
+        self.cnt = remain + got;
     }
 
     /// True when the window holds four valid lanes.
@@ -184,7 +256,7 @@ pub struct DbStates {
     /// Lanes of B consumed by the last `SOP`, pending `LD_P`.
     pub consumed_b: usize,
     /// Result states (up to 8 for union).
-    pub result: Vec<u32>,
+    pub result: ResultStates,
     /// Store FIFO (TmpStore + Store states).
     pub fifo: ElemFifo,
     /// Copy buffer for the 128-bit copy / presort path.
@@ -223,7 +295,7 @@ impl DbStates {
             word_b: Window::default(),
             consumed_a: 0,
             consumed_b: 0,
-            result: Vec::with_capacity(8),
+            result: ResultStates::EMPTY,
             fifo: ElemFifo::new(STORE_FIFO_CAP),
             cpy: ElemFifo::new(LOAD_BUF_CAP),
             ptr_a: 0,
@@ -280,16 +352,18 @@ impl DbStates {
 mod tests {
     use super::*;
 
+    use proptest::prelude::*;
+
     #[test]
     fn fifo_push_take_order() {
         let mut f = ElemFifo::new(8);
-        f.push_slice(&[1, 2, 3]);
-        f.push_slice(&[4]);
+        f.push(&[1, 2, 3, 0], 3);
+        f.push(&[4], 1);
         assert_eq!(f.len(), 4);
-        assert_eq!(f.take(2), vec![1, 2]);
+        assert_eq!(f.take(2), ([1, 2, SENTINEL, SENTINEL], 2));
         assert_eq!(f.as_slice(), &[3, 4]);
         assert_eq!(f.front(), Some(3));
-        assert_eq!(f.take(10), vec![3, 4]);
+        assert_eq!(f.take(4), ([3, 4, SENTINEL, SENTINEL], 2));
         assert!(f.is_empty());
     }
 
@@ -297,14 +371,47 @@ mod tests {
     #[should_panic(expected = "overflow")]
     fn fifo_overflow_is_a_bug() {
         let mut f = ElemFifo::new(4);
-        f.push_slice(&[1, 2, 3, 4, 5]);
+        f.push(&[1, 2, 3, 4, 5, 0, 0, 0], 5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn fifo_slots_from_len_on_stay_sentinel(
+            cap in 1usize..=STORE_FIFO_CAP,
+            steps in proptest::collection::vec((any::<bool>(), 0usize..=8, any::<u32>()), 1..64),
+        ) {
+            let mut f = ElemFifo::new(cap);
+            let mut model: Vec<u32> = Vec::new();
+            for (is_push, n, seed) in steps {
+                if is_push {
+                    let n = n.min(f.free());
+                    // Lanes past `n` carry junk: the push must not keep it.
+                    let lanes: [u32; 8] =
+                        std::array::from_fn(|i| seed.wrapping_add(i as u32) % SENTINEL);
+                    f.push(&lanes, n);
+                    model.extend_from_slice(&lanes[..n]);
+                } else {
+                    let (beat, k) = f.take(n.min(4));
+                    let expect: Vec<u32> = model.drain(..k).collect();
+                    prop_assert_eq!(&beat[..k], &expect[..]);
+                    prop_assert!(beat[k..].iter().all(|&v| v == SENTINEL));
+                }
+                prop_assert_eq!(f.as_slice(), &model[..]);
+                prop_assert!(
+                    f.buf[f.len..].iter().all(|&v| v == SENTINEL),
+                    "slot at or past len {} not sentinel: {:?}", f.len, f.buf
+                );
+            }
+        }
     }
 
     #[test]
     fn window_shift_refill_preserves_order_and_flags() {
         let mut w = Window::default();
         let mut src = ElemFifo::new(8);
-        src.push_slice(&[10, 20, 30, 40, 50, 60]);
+        src.push(&[10, 20, 30, 40, 50, 60, 0, 0], 6);
         w.shift_refill(0, &mut src);
         assert_eq!(w.vals, [10, 20, 30, 40]);
         assert!(w.is_full());
@@ -332,12 +439,12 @@ mod tests {
         s.end_a = 0x200;
         assert!(!s.a_supply_exhausted());
         s.ptr_a = 0x200;
-        s.load_a.push_slice(&[1]);
+        s.load_a.push(&[1], 1);
         assert!(
             !s.a_supply_exhausted(),
             "buffered elements still count as supply"
         );
-        let _ = s.load_a.take(1);
+        s.load_a.take(1);
         assert!(s.a_supply_exhausted());
         s.word_a.vals[0] = 5;
         s.word_a.cnt = 1;

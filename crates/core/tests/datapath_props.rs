@@ -2,7 +2,7 @@
 //! contracts every emission/retirement decision must satisfy for
 //! arbitrary strictly-increasing windows.
 
-use dbx_core::datapath::{merge8, sop_set, sort4, SetOpKind};
+use dbx_core::datapath::{merge8, sop_set, sop_set_n, sort4, SetOpKind};
 use proptest::collection::btree_set;
 use proptest::prelude::*;
 
@@ -15,6 +15,20 @@ fn window_strategy() -> impl Strategy<Value = ([u32; 4], usize)> {
             w[i] = x;
         }
         (w, v)
+    })
+}
+
+/// A full window of four strictly increasing values from a small domain,
+/// so two windows overlap often.
+fn full_window_strategy() -> impl Strategy<Value = [u32; 4]> {
+    (0u32..8, proptest::array::uniform4(1u32..=6)).prop_map(|(start, gaps)| {
+        let mut w = [0; 4];
+        let mut x = start;
+        for (lane, gap) in w.iter_mut().zip(gaps) {
+            x += gap;
+            *lane = x;
+        }
+        w
     })
 }
 
@@ -61,7 +75,7 @@ proptest! {
             // (3) Emission membership.
             let in_a = |x: u32| wa[..va].contains(&x);
             let in_b = |x: u32| wb[..vb].contains(&x);
-            for &x in &out.emit {
+            for &x in out.emit.iter() {
                 match kind {
                     SetOpKind::Intersect => prop_assert!(in_a(x) && in_b(x)),
                     SetOpKind::Difference => prop_assert!(in_a(x) && !in_b(x)),
@@ -91,6 +105,38 @@ proptest! {
                             matches!((kind, j), (SetOpKind::Union, Some(j)) if !eb[j]),
                             "{kind:?} re-emitted flagged value {}", wa[i]
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The 4-wide instruction equals the width-generalised reference on
+    /// every valid-lane count, flag pattern, loading mode and kind. Lanes
+    /// past the valid count keep their (increasing) values, so both must
+    /// ignore them.
+    #[test]
+    fn sop_set_equals_the_width_generalised_reference(
+        wa in full_window_strategy(),
+        wb in full_window_strategy(),
+        ea in flags_strategy(),
+        eb in flags_strategy(),
+    ) {
+        for kind in kinds() {
+            for partial in [false, true] {
+                for va in 1..=4 {
+                    for vb in 1..=4 {
+                        let fixed = sop_set(kind, &wa, va, &ea, &wb, vb, &eb, partial);
+                        let gen = sop_set_n(kind, &wa, va, &ea, &wb, vb, &eb, partial);
+                        let case = format!("{kind:?} partial={partial} {wa:?}/{va} {ea:?} {wb:?}/{vb} {eb:?}");
+                        prop_assert_eq!(&fixed.emit[..], &gen.emit[..], "{}", case);
+                        prop_assert_eq!(
+                            (fixed.consume_a, fixed.consume_b),
+                            (gen.consume_a, gen.consume_b),
+                            "{}", case
+                        );
+                        prop_assert_eq!(&fixed.emitted_a[..], &gen.emitted_a[..], "{}", case);
+                        prop_assert_eq!(&fixed.emitted_b[..], &gen.emitted_b[..], "{}", case);
                     }
                 }
             }

@@ -16,13 +16,24 @@ use dbx_mem::{
     SystemMemory, Width,
 };
 
+/// [`MemorySystem::ports_charged`] bit for the LSU budgets (data memories
+/// use the bits below it; a core has at most two).
+const LSU_PORTS: u8 = 1 << 7;
+
 /// The full memory system of one processor instance.
+///
+/// Per-cycle port budgets are reset lazily: every path that charges an LSU
+/// or a local-memory port (core load/store, lane load/store, the DMAC
+/// tick) records it in `ports_charged`, and [`Self::begin_cycle`] resets
+/// only what was charged. That is why the memories are private — a port
+/// charged from outside would escape the record.
 #[derive(Debug)]
 pub struct MemorySystem {
-    /// Local instruction memory (program image lives here).
-    pub imem: LocalMemory,
+    /// Local instruction memory (program image lives here). Only written
+    /// unmetered, so its port budgets are never charged.
+    pub(crate) imem: LocalMemory,
     /// Local data memories, one per LSU (empty when there is no local store).
-    pub dmems: Vec<LocalMemory>,
+    pub(crate) dmems: Vec<LocalMemory>,
     /// Off-chip system memory.
     pub sysmem: SystemMemory,
     /// Data cache in front of system memory, if configured.
@@ -34,6 +45,9 @@ pub struct MemorySystem {
     sysmem_latency: u32,
     core_sysmem_access: bool,
     lsu_used: [u8; 2],
+    /// Ports charged since the last [`Self::begin_cycle`]: bit `i` for
+    /// data memory `i`, [`LSU_PORTS`] for the LSU budgets.
+    ports_charged: u8,
     /// Stall cycles accrued this step by the SECDED read decoder on
     /// protected local stores; the core drains this once per step.
     pending_ecc_stall: u32,
@@ -71,6 +85,7 @@ impl MemorySystem {
             sysmem_latency: cfg.sysmem_latency,
             core_sysmem_access: cfg.core_sysmem_access,
             lsu_used: [0; 2],
+            ports_charged: 0,
             pending_ecc_stall: 0,
         }
     }
@@ -85,14 +100,28 @@ impl MemorySystem {
         self.max_width
     }
 
-    /// Resets all per-cycle budgets. Called by the simulator each cycle.
+    /// Resets all per-cycle budgets. Called by the simulator each cycle;
+    /// a no-op unless a port was charged since the previous call.
     #[inline]
     pub fn begin_cycle(&mut self) {
-        self.lsu_used = [0; 2];
-        for m in &mut self.dmems {
-            m.begin_cycle();
+        let charged = std::mem::take(&mut self.ports_charged);
+        if charged == 0 {
+            return;
         }
-        self.imem.begin_cycle();
+        self.lsu_used = [0; 2];
+        let mut dmems = charged & !LSU_PORTS;
+        while dmems != 0 {
+            self.dmems[dmems.trailing_zeros() as usize].begin_cycle();
+            dmems &= dmems - 1;
+        }
+    }
+
+    /// Data memory `ix`, recorded as charged: the one way the core paths
+    /// reach a local-memory port.
+    #[inline]
+    fn dmem_port(&mut self, ix: usize) -> &mut LocalMemory {
+        self.ports_charged |= 1 << ix;
+        &mut self.dmems[ix]
     }
 
     /// Advances the prefetcher by one cycle (concurrently with the core).
@@ -108,6 +137,7 @@ impl MemorySystem {
 
     fn tick_prefetcher_active(&mut self) -> Result<(), SimError> {
         let dmac = self.dmac.as_mut().expect("checked by tick_prefetcher");
+        self.ports_charged |= (1 << self.dmems.len()) - 1;
         // Marshalling the local-memory port list allocates; this only runs
         // on cycles where the DMAC is actively streaming.
         let mut refs: Vec<&mut LocalMemory> = self.dmems.iter_mut().collect();
@@ -132,6 +162,7 @@ impl MemorySystem {
                 bus: self.max_width.bytes(),
             }));
         }
+        self.ports_charged |= LSU_PORTS;
         if self.lsu_used[lsu] >= 1 {
             return Err(SimError::Mem(MemError::PortConflict {
                 port: if lsu == 0 { "lsu0" } else { "lsu1" },
@@ -203,7 +234,7 @@ impl MemorySystem {
             if self.dmems.len() > 1 && ix != lsu {
                 return Err(SimError::Mem(MemError::Unmapped { addr }));
             }
-            let v = self.dmems[ix].read(AccessPort::Core, addr, width)?;
+            let v = self.dmem_port(ix).read(AccessPort::Core, addr, width)?;
             counters.loads_local += 1;
             counters.bytes_loaded += width.bytes() as u64;
             self.charge_ecc_read(ix, counters);
@@ -237,7 +268,8 @@ impl MemorySystem {
             if self.dmems.len() > 1 && ix != lsu {
                 return Err(SimError::Mem(MemError::Unmapped { addr }));
             }
-            self.dmems[ix].write(AccessPort::Core, addr, width, value)?;
+            self.dmem_port(ix)
+                .write(AccessPort::Core, addr, width, value)?;
             counters.stores_local += 1;
             counters.bytes_stored += width.bytes() as u64;
             return Ok(0);
@@ -290,7 +322,8 @@ impl MemorySystem {
         if self.dmems.len() > 1 && ix != lsu {
             return Err(SimError::Mem(MemError::Unmapped { addr }));
         }
-        self.dmems[ix].read_lanes_into(AccessPort::Core, addr, out)?;
+        self.dmem_port(ix)
+            .read_lanes_into(AccessPort::Core, addr, out)?;
         counters.loads_local += 1;
         counters.bytes_loaded += 4 * out.len() as u64;
         self.charge_ecc_read(ix, counters);
@@ -314,7 +347,8 @@ impl MemorySystem {
         if self.dmems.len() > 1 && ix != lsu {
             return Err(SimError::Mem(MemError::Unmapped { addr }));
         }
-        self.dmems[ix].write_lanes(AccessPort::Core, addr, lanes)?;
+        self.dmem_port(ix)
+            .write_lanes(AccessPort::Core, addr, lanes)?;
         counters.stores_local += 1;
         counters.bytes_stored += 4 * lanes.len() as u64;
         Ok(())
@@ -348,6 +382,8 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbx_mem::prefetch::{Direction, FsmStep};
+    use dbx_mem::{DmacProgram, TransferDescriptor};
 
     fn counters() -> EventCounters {
         EventCounters::default()
@@ -431,6 +467,71 @@ mod tests {
             e,
             SimError::Mem(MemError::WidthUnsupported { .. })
         ));
+    }
+
+    fn is_port_conflict(r: Result<(), SimError>) -> bool {
+        matches!(r, Err(SimError::Mem(MemError::PortConflict { .. })))
+    }
+
+    /// The lazy reset stays exact on every charging path: a second access
+    /// in one step conflicts, and the first access of the next step — with
+    /// only that path charged in between — succeeds.
+    #[test]
+    fn every_charging_path_resets_its_budget_next_step() {
+        type Access = fn(&mut MemorySystem, &mut EventCounters) -> Result<(), SimError>;
+        let paths: [(&str, Access); 4] = [
+            ("load", |m, c| {
+                m.load(0, DMEM0_BASE, Width::W32, c).map(drop)
+            }),
+            ("store", |m, c| {
+                m.store(0, DMEM0_BASE, Width::W32, 5, c).map(drop)
+            }),
+            ("load_lanes_into", |m, c| {
+                m.load_lanes_into(0, DMEM0_BASE, &mut [0; 4], c)
+            }),
+            ("store_lanes", |m, c| {
+                m.store_lanes(0, DMEM0_BASE, &[1, 2], c)
+            }),
+        ];
+        for (name, access) in paths {
+            let mut m = MemorySystem::new(&CpuConfig::local_store_core(1, 64));
+            let mut c = counters();
+            for step in 0..3 {
+                m.begin_cycle();
+                assert!(access(&mut m, &mut c).is_ok(), "{name}: step {step}");
+                assert!(
+                    is_port_conflict(access(&mut m, &mut c)),
+                    "{name}: step {step}"
+                );
+            }
+        }
+
+        // The DMAC tick charges the prefetcher port of the destination.
+        let mut m = MemorySystem::new(&CpuConfig::local_store_core(2, 32));
+        m.poke_words(SYSMEM_BASE, &[7; 16]).unwrap();
+        let mut dmac = Dmac::new(BurstBus {
+            setup_cycles: 0,
+            beats_per_cycle: 1,
+        });
+        dmac.load_program(DmacProgram {
+            steps: vec![FsmStep::Transfer { desc: 0 }, FsmStep::Halt],
+            descriptors: vec![TransferDescriptor {
+                src: SYSMEM_BASE,
+                dst: DMEM0_BASE,
+                len_bytes: 64,
+                burst_bytes: 64,
+                dir: Direction::SysToLocal,
+            }],
+        })
+        .unwrap();
+        m.dmac = Some(dmac);
+        m.begin_cycle();
+        m.tick_prefetcher().unwrap(); // starts the transfer
+        for step in 0..3 {
+            m.begin_cycle();
+            assert!(m.tick_prefetcher().is_ok(), "dmac: step {step}");
+            assert!(is_port_conflict(m.tick_prefetcher()), "dmac: step {step}");
+        }
     }
 
     #[test]

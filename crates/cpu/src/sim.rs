@@ -711,16 +711,17 @@ impl Processor {
         pc: u32,
         ops: &[(u16, crate::isa::OpArgs)],
     ) -> Result<u32, SimError> {
-        let mut ext = self.ext.take().ok_or(SimError::NoExtension { pc })?;
+        let ext = self
+            .ext
+            .as_deref_mut()
+            .ok_or(SimError::NoExtension { pc })?;
         let mut ctx = TieCtx {
             ar: &mut self.ar,
             mem: &mut self.mem,
             counters: &mut self.counters,
             queues: &mut self.queues,
         };
-        let result = ext.execute(ops, &mut ctx);
-        self.ext = Some(ext);
-        result
+        ext.execute(ops, &mut ctx)
     }
 
     /// Runs until `HALT` or until `max_cycles` elapse.

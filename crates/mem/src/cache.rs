@@ -111,9 +111,11 @@ impl DataCache {
     }
 
     fn index_and_tag(&self, addr: u32) -> (usize, u32) {
-        let line = addr as usize / self.cfg.line_bytes;
-        let idx = line % self.lines.len();
-        let tag = (line / self.lines.len()) as u32;
+        // The line size and the line count are powers of two (validated),
+        // so the divisions are shifts and the modulo a mask.
+        let line = addr as usize >> self.cfg.line_bytes.trailing_zeros();
+        let idx = line & (self.lines.len() - 1);
+        let tag = (line >> self.lines.len().trailing_zeros()) as u32;
         (idx, tag)
     }
 

@@ -67,6 +67,32 @@ impl Width {
         self.bytes() * 8
     }
 
+    /// Decodes a little-endian value of this width from the front of
+    /// `bytes` (one fixed-width load, no per-byte loop).
+    #[inline]
+    pub(crate) fn load_le(self, bytes: &[u8]) -> u128 {
+        match self {
+            Width::W8 => bytes[0] as u128,
+            Width::W16 => u16::from_le_bytes(front(bytes)) as u128,
+            Width::W32 => u32::from_le_bytes(front(bytes)) as u128,
+            Width::W64 => u64::from_le_bytes(front(bytes)) as u128,
+            Width::W128 => u128::from_le_bytes(front(bytes)),
+        }
+    }
+
+    /// Encodes the low bytes of `value` little-endian into the front of
+    /// `bytes` (mirror of [`Self::load_le`]).
+    #[inline]
+    pub(crate) fn store_le(self, bytes: &mut [u8], value: u128) {
+        match self {
+            Width::W8 => bytes[0] = value as u8,
+            Width::W16 => bytes[..2].copy_from_slice(&(value as u16).to_le_bytes()),
+            Width::W32 => bytes[..4].copy_from_slice(&(value as u32).to_le_bytes()),
+            Width::W64 => bytes[..8].copy_from_slice(&(value as u64).to_le_bytes()),
+            Width::W128 => bytes[..16].copy_from_slice(&value.to_le_bytes()),
+        }
+    }
+
     /// The widest access allowed on a bus of `bits` width.
     pub fn from_bus_bits(bits: usize) -> Width {
         match bits {
@@ -77,6 +103,14 @@ impl Width {
             _ => Width::W128,
         }
     }
+}
+
+/// The first `N` bytes of `bytes` as an array.
+#[inline]
+fn front<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    bytes[..N]
+        .try_into()
+        .expect("a slice of N bytes converts to [u8; N]")
 }
 
 #[cfg(test)]

@@ -218,11 +218,18 @@ impl LocalMemory {
 
     /// Verifies the protected words covering `[off, off+len)` before a
     /// read, correcting / detecting / accounting as the scheme allows.
+    /// Unprotected, untainted arrays — every access of a fault-free run —
+    /// return before the out-of-line word walk.
     #[inline]
     fn verify(&mut self, off: usize, len: usize) -> Result<(), MemError> {
         if self.protection == ProtectionKind::None && self.tainted.is_empty() {
             return Ok(());
         }
+        self.verify_words(off, len)
+    }
+
+    #[inline(never)]
+    fn verify_words(&mut self, off: usize, len: usize) -> Result<(), MemError> {
         for ix in off / 4..=(off + len - 1) / 4 {
             let addr = self.base + (ix * 4) as u32;
             match self.protection {
@@ -281,6 +288,11 @@ impl LocalMemory {
         {
             return;
         }
+        self.recode_words(off, len);
+    }
+
+    #[inline(never)]
+    fn recode_words(&mut self, off: usize, len: usize) {
         for ix in off / 4..=(off + len - 1) / 4 {
             if self.tainted.remove(&ix) && (off > ix * 4 || off + len < ix * 4 + 4) {
                 self.faults.escaped += 1;
@@ -363,12 +375,8 @@ impl LocalMemory {
         let off = self.check(addr, width)?;
         let len = width.bytes();
         self.verify(off, len)?;
-        let mut v: u128 = 0;
-        for i in (0..len).rev() {
-            v = (v << 8) | self.data[off + i] as u128;
-        }
         self.bytes_moved += len as u64;
-        Ok(v)
+        Ok(width.load_le(&self.data[off..]))
     }
 
     /// Writes without charging a port budget. Used to initialise memory
@@ -381,11 +389,7 @@ impl LocalMemory {
     ) -> Result<(), MemError> {
         let off = self.check(addr, width)?;
         let len = width.bytes();
-        let mut v = value;
-        for i in 0..len {
-            self.data[off + i] = (v & 0xff) as u8;
-            v >>= 8;
-        }
+        width.store_le(&mut self.data[off..], value);
         self.recode(off, len);
         self.bytes_moved += len as u64;
         Ok(())
@@ -493,9 +497,23 @@ impl LocalMemory {
     }
 
     /// Copies a `u32` slice into memory starting at `addr` (setup helper).
+    /// The words that fit go in one pass with one recode; a run hanging
+    /// off the end fails at its first outside word, as word-by-word
+    /// writes would, after writing the ones before it.
     pub fn load_words(&mut self, addr: u32, words: &[u32]) -> Result<(), MemError> {
-        for (i, w) in words.iter().enumerate() {
-            self.write_unmetered(addr + 4 * i as u32, Width::W32, *w as u128)?;
+        if words.is_empty() {
+            return Ok(());
+        }
+        let off = self.check(addr, Width::W32)?;
+        let fit = words.len().min((self.data.len() - off) / 4);
+        let len = 4 * fit;
+        for (dst, w) in self.data[off..off + len].chunks_exact_mut(4).zip(words) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
+        self.recode(off, len);
+        self.bytes_moved += len as u64;
+        if fit < words.len() {
+            self.check(addr + len as u32, Width::W32)?;
         }
         Ok(())
     }
@@ -689,6 +707,25 @@ mod tests {
         let ws = [1u32, 2, 3, 0xffff_ffff];
         m.load_words(0x6000_0040, &ws).unwrap();
         assert_eq!(m.read_words(0x6000_0040, 4).unwrap(), ws);
+    }
+
+    #[test]
+    fn load_words_off_the_end_writes_what_fits_then_fails() {
+        let mut m = mem();
+        m.set_protection(ProtectionKind::Secded);
+        let e = m.load_words(0x6000_03f8, &[7, 8, 9]).unwrap_err();
+        assert!(matches!(
+            e,
+            MemError::OutOfBounds {
+                addr: 0x6000_0400,
+                ..
+            }
+        ));
+        assert_eq!(m.bytes_moved, 8);
+        assert_eq!(m.read_words(0x6000_03f8, 2).unwrap(), vec![7, 8]);
+        assert!(m.faults.is_zero(), "the bulk write re-encoded every word");
+        let e = m.load_words(0x6000_0002, &[1]).unwrap_err();
+        assert!(matches!(e, MemError::Misaligned { .. }));
     }
 
     #[test]

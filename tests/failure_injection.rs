@@ -188,3 +188,27 @@ fn a_multicore_run_on_zero_cores_is_a_typed_error() {
     let e = multicore_set_op(model, SetOpKind::Intersect, &[1, 2], &[2], 0).unwrap_err();
     assert!(matches!(e, SimError::BadProgram(_)), "{e:?}");
 }
+
+#[test]
+fn a_zero_unroll_factor_is_a_typed_error() {
+    use dbasip::dbisa::stream::{stream_set_op_with, StreamConfig, StreamOptions};
+    let wiring = DbExtConfig::two_lsu(true);
+    let layout = SetLayout {
+        a_base: 0x6000_0000,
+        a_len: 4,
+        b_base: 0x6800_0000,
+        b_len: 4,
+        c_base: 0x6800_1000,
+    };
+    let e = hwset::set_op_program(SetOpKind::Intersect, &wiring, &layout, 0).unwrap_err();
+    assert!(matches!(e, SimError::BadProgram(_)), "{e:?}");
+    let e = hwset::set_op_program_param(SetOpKind::Union, &wiring, 0x6000_0000, 0).unwrap_err();
+    assert!(matches!(e, SimError::BadProgram(_)), "{e:?}");
+    let cfg = StreamConfig {
+        unroll: 0,
+        ..StreamConfig::default()
+    };
+    let opts = StreamOptions::default();
+    let e = stream_set_op_with(SetOpKind::Difference, &[1, 2, 3], &[2, 3], cfg, &opts).unwrap_err();
+    assert!(matches!(e, SimError::BadProgram(_)), "{e:?}");
+}
