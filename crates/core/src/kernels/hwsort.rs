@@ -16,8 +16,9 @@
 //!    copy instructions ("as soon as one list is empty the remainder
 //!    elements ... are copied using 128-bit copy instructions").
 //!
-//! `n` must be a positive multiple of 4 (the presort block size); the
-//! runner pads with sentinels and strips them after sorting.
+//! `n` must be a positive multiple of 4 (the presort block size; any
+//! other length is a [`SimError::BadProgram`]); the runner pads with
+//! sentinels and strips them after sorting.
 
 use super::{e, e_r, e_s, SortLayout};
 use crate::ops::{opcodes as op, DbExtConfig};
@@ -31,10 +32,11 @@ pub fn merge_sort_program(
     layout: &SortLayout,
 ) -> Result<(Program, bool), SimError> {
     let n = layout.n;
-    assert!(
-        n >= 4 && n.is_multiple_of(4),
-        "sort kernel needs a positive multiple of 4"
-    );
+    if n == 0 || !n.is_multiple_of(4) {
+        return Err(SimError::BadProgram(format!(
+            "sort kernel needs a positive multiple of 4 elements, got {n}"
+        )));
+    }
     let mut b = ProgramBuilder::new();
 
     // a1 = width bytes, a13 = total bytes, a14 = src, a15 = dst.

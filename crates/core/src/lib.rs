@@ -18,9 +18,9 @@
 //!   prefetcher (double buffering).
 //! * [`multicore`] — shared-nothing partitioned execution across many
 //!   cores (the paper's area-equivalence argument).
-//! * [`sched`] — the host-parallel shard scheduler: runs independent
-//!   simulated shards on a work-stealing pool of host threads with
-//!   deterministic, shard-ordered merge.
+//! * [`sched`] — the host-parallel shard scheduler: runs the independent
+//!   sweep points of `repro bench` on a work-stealing pool of host
+//!   threads and returns their results in shard order.
 
 pub mod configs;
 pub mod datapath;

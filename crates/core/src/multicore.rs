@@ -17,10 +17,9 @@
 use crate::configs::ProcModel;
 use crate::datapath::SetOpKind;
 use crate::runner::{run_set_op_with, RunOptions};
-use crate::sched::{run_indexed, HostSched};
 use dbx_cpu::SimError;
 use dbx_faults::FaultCounters;
-use dbx_observe::{ArgValue, Observer, TraceSink, TrackId};
+use dbx_observe::{ArgValue, TrackId};
 
 /// Result of a partitioned multi-core run.
 #[derive(Debug, Clone)]
@@ -122,8 +121,6 @@ pub struct PartitionRun {
     pub faults: FaultCounters,
 }
 
-type PartRun = PartitionRun;
-
 /// [`run_partition`] with resilience options (see
 /// [`crate::runner::run_set_op_with`]); the injected fault plan strikes
 /// the first batch only.
@@ -134,18 +131,8 @@ pub fn run_partition_with(
     b: &[u32],
     opts: &RunOptions,
 ) -> Result<PartitionRun, SimError> {
-    run_partition_opts(model, kind, a, b, opts)
-}
-
-fn run_partition_opts(
-    model: ProcModel,
-    kind: SetOpKind,
-    a: &[u32],
-    b: &[u32],
-    opts: &RunOptions,
-) -> Result<PartRun, SimError> {
     match run_set_op_with(model, kind, a, b, opts) {
-        Ok(kr) => Ok(PartRun {
+        Ok(kr) => Ok(PartitionRun {
             result: kr.result,
             cycles: kr.cycles,
             retries: kr.retries,
@@ -159,7 +146,7 @@ fn run_partition_opts(
                     "partition does not fit a core and cannot be split further".to_string(),
                 ));
             }
-            let mut acc = PartRun {
+            let mut acc = PartitionRun {
                 result: Vec::new(),
                 cycles: 0,
                 retries: 0,
@@ -168,7 +155,7 @@ fn run_partition_opts(
             };
             let mut batch_opts = opts.clone();
             for (ra, rb) in halves {
-                let r = run_partition_opts(model, kind, &a[ra], &b[rb], &batch_opts)?;
+                let r = run_partition_with(model, kind, &a[ra], &b[rb], &batch_opts)?;
                 acc.result.extend_from_slice(&r.result);
                 acc.cycles += r.cycles;
                 acc.retries += r.retries;
@@ -193,82 +180,7 @@ pub fn run_partition(
     a: &[u32],
     b: &[u32],
 ) -> Result<(Vec<u32>, u64), SimError> {
-    run_partition_opts(model, kind, a, b, &RunOptions::default()).map(|r| (r.result, r.cycles))
-}
-
-/// Runs every partition of a multi-core job under [`RunOptions::sched`]
-/// and returns the per-core outcomes **in core order**.
-///
-/// The sequential path records straight into the caller's observer. The
-/// parallel path cannot (an [`Observer`] is deliberately thread-local),
-/// so each worker rebuilds a `RunOptions` from the `Send`-safe fields and
-/// records into a fresh in-memory sink, returned alongside the run for
-/// the caller to absorb in core order — per-track cycle clocks start at
-/// zero in the local sink and [`Observer::absorb`] offsets them by the
-/// parent's clock, which reproduces the sequential trace exactly.
-fn run_core_shards(
-    model: ProcModel,
-    kind: SetOpKind,
-    a: &[u32],
-    b: &[u32],
-    parts: &[(std::ops::Range<usize>, std::ops::Range<usize>)],
-    opts: &RunOptions,
-) -> Vec<Result<(PartRun, Option<TraceSink>), SimError>> {
-    if !opts.sched.is_parallel(parts.len()) {
-        return parts
-            .iter()
-            .enumerate()
-            .map(|(idx, (ra, rb))| {
-                let core_opts = RunOptions {
-                    fault_plan: if idx == 0 {
-                        opts.fault_plan.clone()
-                    } else {
-                        None
-                    },
-                    // Each logical core gets its own trace track so the
-                    // shared-nothing board renders as parallel lanes.
-                    observer: opts.observer.on_track(TrackId::Core(idx as u32)),
-                    ..opts.clone()
-                };
-                run_partition_opts(model, kind, &a[ra.clone()], &b[rb.clone()], &core_opts)
-                    .map(|r| (r, None))
-            })
-            .collect();
-    }
-    let observed = opts.observer.is_enabled();
-    let fault_plan = &opts.fault_plan;
-    let (protection, policy, watchdog, deadline) =
-        (opts.protection, opts.policy, opts.watchdog, opts.deadline);
-    let profile = opts.profile;
-    run_indexed(opts.sched, parts.len(), move |idx| {
-        let (ra, rb) = parts[idx].clone();
-        let (observer, sink) = if observed {
-            let (obs, sink) = Observer::memory();
-            (obs.on_track(TrackId::Core(idx as u32)), Some(sink))
-        } else {
-            (Observer::default(), None)
-        };
-        let core_opts = RunOptions {
-            protection,
-            // The injected plan strikes core 0 only, as sequentially.
-            fault_plan: if idx == 0 { fault_plan.clone() } else { None },
-            policy,
-            watchdog,
-            deadline,
-            observer,
-            profile,
-            sched: HostSched::Sequential,
-        };
-        run_partition_opts(model, kind, &a[ra], &b[rb], &core_opts).map(|r| {
-            drop(core_opts); // release the worker's observer handle
-            let local = sink.map(|s| {
-                std::rc::Rc::try_unwrap(s)
-                    .expect("core-local observer still referenced")
-                    .into_inner()
-            });
-            (r, local)
-        })
-    })
+    run_partition_with(model, kind, a, b, &RunOptions::default()).map(|r| (r.result, r.cycles))
 }
 
 /// Runs a sorted-set operation across `cores` shared-nothing cores of the
@@ -289,11 +201,11 @@ pub fn multicore_set_op(
 /// strikes core 0 only (one upset, one core); the protection scheme,
 /// watchdog, and recovery policy apply to every core.
 ///
-/// With [`RunOptions::sched`] set to a parallel [`HostSched`], the
-/// simulated cores run on real host threads. The merge is positional —
-/// results fold and trace sinks absorb in core order — so the output,
-/// every cycle count, the fault counters, and the observe trace are
-/// bit-identical to the sequential path.
+/// The cores are simulated one after another in core order; the run
+/// stops at the first core that fails. Makespan and totals are cycle-
+/// domain figures, so the order the host simulates the cores in does not
+/// enter them. When observed, core `i` records on [`TrackId::Core`]`(i)`
+/// and the run adds one Host-track `multicore` span lasting the makespan.
 pub fn multicore_set_op_with(
     model: ProcModel,
     kind: SetOpKind,
@@ -308,19 +220,24 @@ pub fn multicore_set_op_with(
         ));
     }
     let parts = partition(a, b, cores);
-    let runs = run_core_shards(model, kind, a, b, &parts, opts);
     let mut result = Vec::new();
     let mut per_core_cycles = Vec::with_capacity(parts.len());
     let mut retries = 0u32;
     let mut degraded_parts = 0usize;
     let mut faults = FaultCounters::default();
-    for shard in runs {
-        // Shards fold in core order; the lowest-indexed error wins, as it
-        // would have in the sequential loop (which stops right there).
-        let (r, local_sink) = shard?;
-        if let Some(local) = local_sink {
-            opts.observer.absorb(local);
-        }
+    for (idx, (ra, rb)) in parts.into_iter().enumerate() {
+        let core_opts = RunOptions {
+            fault_plan: if idx == 0 {
+                opts.fault_plan.clone()
+            } else {
+                None
+            },
+            // Each logical core gets its own trace track so the
+            // shared-nothing board renders as parallel lanes.
+            observer: opts.observer.on_track(TrackId::Core(idx as u32)),
+            ..opts.clone()
+        };
+        let r = run_partition_with(model, kind, &a[ra], &b[rb], &core_opts)?;
         result.extend_from_slice(&r.result);
         per_core_cycles.push(r.cycles);
         retries += r.retries;
@@ -468,50 +385,6 @@ mod tests {
         assert_eq!(mc.retries, 1, "only the struck core retries");
         assert_eq!(mc.degraded_parts, 0);
         assert!(mc.faults.detected >= 1);
-    }
-
-    #[test]
-    fn parallel_sched_matches_sequential_bit_for_bit() {
-        let (a, b) = sets(6000);
-        let model = ProcModel::Dba2LsuEis { partial: true };
-        for kind in [
-            SetOpKind::Intersect,
-            SetOpKind::Union,
-            SetOpKind::Difference,
-        ] {
-            let seq = multicore_set_op(model, kind, &a, &b, 8).unwrap();
-            let opts = RunOptions {
-                sched: HostSched::Parallel { threads: 4 },
-                ..Default::default()
-            };
-            let par = multicore_set_op_with(model, kind, &a, &b, 8, &opts).unwrap();
-            assert_eq!(par.result, seq.result, "{kind:?}");
-            assert_eq!(par.per_core_cycles, seq.per_core_cycles, "{kind:?}");
-            assert_eq!(par.makespan_cycles, seq.makespan_cycles, "{kind:?}");
-            assert_eq!(par.total_cycles, seq.total_cycles, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_sched_preserves_fault_accounting() {
-        use crate::runner::RecoveryPolicy;
-        use dbx_faults::{FaultPlan, FaultTarget, ProtectionKind};
-        let (a, b) = sets(4000);
-        let model = ProcModel::Dba2LsuEis { partial: true };
-        let mut opts = RunOptions {
-            protection: Some(ProtectionKind::Parity),
-            fault_plan: Some(FaultPlan::new().with_bit_flip(FaultTarget::Dmem(0), 0, 23, 9)),
-            policy: RecoveryPolicy::Retry { max_retries: 2 },
-            watchdog: None,
-            ..Default::default()
-        };
-        let seq = multicore_set_op_with(model, SetOpKind::Intersect, &a, &b, 4, &opts).unwrap();
-        opts.sched = HostSched::Parallel { threads: 4 };
-        let par = multicore_set_op_with(model, SetOpKind::Intersect, &a, &b, 4, &opts).unwrap();
-        assert_eq!(par.result, seq.result);
-        assert_eq!(par.retries, seq.retries, "only core 0 is struck");
-        assert_eq!(par.faults.detected, seq.faults.detected);
-        assert_eq!(par.per_core_cycles, seq.per_core_cycles);
     }
 
     #[test]

@@ -138,13 +138,6 @@ pub struct RunOptions {
     /// compare per step instead of a per-instruction map update, which is
     /// how the serving layer feeds `WeightModel::Profile` cheaply.
     pub profile: ProfileMode,
-    /// How fan-out layers — [`crate::multicore`], the query engine, the
-    /// bench sweeps — map independent shards onto host threads. The
-    /// single-kernel runners in this module ignore it (one kernel is one
-    /// shard). Whatever it is set to, results, simulated cycle counts,
-    /// fault counters, and observe traces are bit-identical to
-    /// [`crate::sched::HostSched::Sequential`].
-    pub sched: crate::sched::HostSched,
 }
 
 impl RunOptions {

@@ -1,33 +1,20 @@
 //! The host-parallel shard scheduler.
 //!
-//! The multicore partitioner ([`crate::multicore`]) and the query engine
-//! model a shared-nothing board of simulated cores, but until this module
-//! every simulated core ran *sequentially on one host thread* — a large
-//! scaling campaign (the paper's Section 5.4 sweeps, the `repro bench`
-//! figure suite, the CI fault matrix) was wall-clock bound by a single
-//! host core. The scheduler runs independent shards — per-core simulator
-//! instances, sweep points, posting-list unions — on a small work-stealing
-//! pool of real host threads and hands the results back *in shard order*,
-//! so every layer above can merge them deterministically: simulated cycle
-//! counts, fault counters, and observe spans are bit-identical to the
-//! sequential path no matter how many host threads ran the shards.
-//!
-//! Two properties make that cheap to guarantee:
-//!
-//! * Shards share nothing. Each task builds its own [`dbx_cpu::Processor`]
-//!   (the Send-safety audit in `dbx-cpu` makes all simulator state
-//!   migrate freely) and, when observed, records into its own local
-//!   [`dbx_observe::TraceSink`] against fresh cycle clocks.
-//! * Merge is positional. [`run_indexed`] returns `Vec<T>` indexed by
-//!   shard, so the driver folds results left to right exactly as the
-//!   sequential loop would have; local trace sinks are absorbed in shard
-//!   order with per-track clock offsets ([`dbx_observe::Recorder::absorb`]).
+//! Simulated cycle counts do not depend on which host thread simulates a
+//! machine, so host threads only buy host speed. They are spent in one
+//! place: `repro bench` fans its independent sweep points out over
+//! [`run_indexed`]. Every point is one shard that builds its own
+//! [`dbx_cpu::Processor`], so shards share nothing, and the results come
+//! back positionally (`Vec<T>` indexed by shard), which keeps the suite
+//! byte-identical whatever the thread count. Inside one run — a multicore
+//! job, a query — the simulated cores run one after another on the
+//! calling thread.
 //!
 //! The pool itself is a classic batch work-stealing scheduler: worker `w`
 //! seeds its own deque with shards `w, w+T, w+2T, …`, pops from the front
 //! of its deque, and steals from the back of a neighbour's when it runs
-//! dry. Shard runtimes are highly skewed (a value-aligned partition can
-//! batch, retry, or degrade), which is exactly the case stealing absorbs.
+//! dry. Sweep-point runtimes are highly skewed (a 16-core scaling point
+//! next to a one-kernel point), which is exactly the case stealing absorbs.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -47,23 +34,6 @@ pub enum HostSched {
 }
 
 impl HostSched {
-    /// The scheduler selected by the `DBX_HOST_THREADS` environment
-    /// variable: unset (or unparsable) means [`HostSched::Sequential`],
-    /// `0` or `auto` means one worker per host core, `N` means `N`
-    /// workers. This is how CI's core-count matrix steers `repro bench`
-    /// without plumbing a flag through every layer.
-    pub fn from_env() -> HostSched {
-        match std::env::var("DBX_HOST_THREADS") {
-            Ok(v) if v == "auto" => HostSched::Parallel { threads: 0 },
-            Ok(v) => match v.parse::<usize>() {
-                Ok(0) => HostSched::Parallel { threads: 0 },
-                Ok(n) => HostSched::Parallel { threads: n },
-                Err(_) => HostSched::Sequential,
-            },
-            Err(_) => HostSched::Sequential,
-        }
-    }
-
     /// Worker threads a batch of `shards` would actually use (never more
     /// threads than shards, never zero).
     pub fn effective_threads(&self, shards: usize) -> usize {
@@ -80,13 +50,6 @@ impl HostSched {
                 t.min(shards).max(1)
             }
         }
-    }
-
-    /// Whether this scheduler would spawn worker threads for `shards`.
-    pub fn is_parallel(&self, shards: usize) -> bool {
-        matches!(self, HostSched::Parallel { .. })
-            && self.effective_threads(shards) > 1
-            && shards > 1
     }
 }
 
@@ -216,9 +179,6 @@ mod tests {
         assert_eq!(HostSched::Parallel { threads: 8 }.effective_threads(3), 3);
         assert_eq!(HostSched::Parallel { threads: 2 }.effective_threads(100), 2);
         assert!(HostSched::Parallel { threads: 0 }.effective_threads(100) >= 1);
-        assert!(!HostSched::Sequential.is_parallel(8));
-        assert!(!HostSched::Parallel { threads: 4 }.is_parallel(1));
-        assert!(HostSched::Parallel { threads: 4 }.is_parallel(8));
     }
 
     #[test]

@@ -401,18 +401,28 @@ pub fn run(scale: f64, sched: HostSched) -> Suite {
     }
 }
 
-/// Parses a `--threads` flag value into a host scheduler: absent falls
-/// back to `DBX_HOST_THREADS`, `0`/`auto` means all host cores, `1`
-/// forces the sequential path, `n` pins the worker count. Anything else
-/// is an error naming the value.
+/// Parses a `--threads` flag value into a host scheduler: `0`/`auto`
+/// means all host cores, `1` the sequential path, `n` pins the worker
+/// count. An absent flag falls back to `DBX_HOST_THREADS`, parsed by the
+/// same rules, and both absent means sequential. Anything else is an
+/// error naming the value and where it came from.
 pub fn sched_from_flag(threads: Option<&str>) -> Result<HostSched, String> {
     match threads {
-        None => Ok(HostSched::from_env()),
-        Some("auto") | Some("0") => Ok(HostSched::Parallel { threads: 0 }),
-        Some(n) => match n.parse::<usize>() {
+        Some(v) => parse_threads("--threads", v),
+        None => match std::env::var("DBX_HOST_THREADS") {
+            Ok(v) => parse_threads("DBX_HOST_THREADS", &v),
+            Err(_) => Ok(HostSched::Sequential),
+        },
+    }
+}
+
+fn parse_threads(source: &str, v: &str) -> Result<HostSched, String> {
+    match v {
+        "auto" | "0" => Ok(HostSched::Parallel { threads: 0 }),
+        n => match n.parse::<usize>() {
             Ok(1) => Ok(HostSched::Sequential),
             Ok(n) => Ok(HostSched::Parallel { threads: n }),
-            Err(_) => Err(format!("--threads takes a count or `auto`, got {n:?}")),
+            Err(_) => Err(format!("{source} takes a count or `auto`, got {v:?}")),
         },
     }
 }
@@ -457,7 +467,8 @@ mod tests {
     fn paper_scale_ratios_land_in_the_published_regime() {
         // Scale 0.2 keeps the suite quick while the EIS throughput stays
         // in the published ballpark (same cycle model, same fMAX model).
-        let suite = run(0.2, HostSched::from_env());
+        let sched = sched_from_flag(None).expect("DBX_HOST_THREADS parses");
+        let suite = run(0.2, sched);
         let hwset = suite.ratio("hwset_vs_swset_published").unwrap();
         assert!(
             (0.8..1.5).contains(&hwset),
@@ -467,7 +478,7 @@ mod tests {
 
     #[test]
     fn threads_flag_maps_onto_the_scheduler() {
-        let sched = |v| sched_from_flag(Some(v));
+        let sched = |v| parse_threads("--threads", v);
         assert_eq!(sched("1"), Ok(HostSched::Sequential));
         assert_eq!(sched("4"), Ok(HostSched::Parallel { threads: 4 }));
         assert_eq!(sched("auto"), Ok(HostSched::Parallel { threads: 0 }));

@@ -41,8 +41,11 @@
 //!
 //! bench options:
 //!          --scale <f>         workload scale (default 1.0; overrides --quick)
-//!          --threads <n|auto>  host worker threads for the sweep fan-out
-//!                              (default: DBX_HOST_THREADS, else sequential)
+//!          --threads <n|auto>  host worker threads for the sweep fan-out:
+//!                              1 is sequential, 0 or auto one per host
+//!                              core (default: DBX_HOST_THREADS, parsed by
+//!                              the same rules, else sequential); the
+//!                              snapshot is the same for every value
 //!          --json              print the perf snapshot JSON
 //!          --folded <path>     write folded stacks for flamegraph tools
 //!          --check <baseline>  gate against a committed BENCH_perf.json

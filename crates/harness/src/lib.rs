@@ -14,7 +14,7 @@
 //! | [`energy`] | The abstract's headline: energy per element, all configurations + x86 references |
 //! | [`resilience`] | Local-store protection (parity/SECDED) cost and a seeded fault campaign |
 //! | [`observe`] | Unified tracing/metrics: hotspot tables, Perfetto timeline, folded stacks, benchmark snapshot |
-//! | [`bench`] | Section 6's figure sweeps as the regression-gated `BENCH_perf.json` suite |
+//! | [`bench`](mod@bench) | Section 6's figure sweeps as the regression-gated `BENCH_perf.json` suite |
 //! | [`dse`] | Automatic ISA-extension mining: DFG enumeration + synth-priced Pareto search |
 //! | [`width_exp`] | Section 2.2 — vector-width area/bandwidth tradeoff |
 //! | [`serve`] | Durable query serving under admission control: the regression-gated `BENCH_serve.json` benchmark |

@@ -46,6 +46,19 @@ fn an_unparsable_scale_is_a_usage_error() {
 fn an_unparsable_thread_count_is_a_usage_error() {
     let err = exits(2, &["bench", "--threads", "abc"]);
     assert!(err.contains("abc"), "{err}");
+    // The environment fallback is parsed by the flag's rules.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["bench", "--scale", "0.01"])
+        .env("DBX_HOST_THREADS", "abc")
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .expect("run repro");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("DBX_HOST_THREADS") && err.contains("abc"),
+        "{err}"
+    );
 }
 
 #[test]

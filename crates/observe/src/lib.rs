@@ -41,7 +41,7 @@ pub mod telemetry;
 pub use folded::{folded_line, FoldedStacks};
 pub use json::Json;
 pub use perfetto::{validate_chrome_trace, write_chrome_trace};
-pub use recorder::{Observer, Recorder, SharedSink, TraceSink};
+pub use recorder::{Observer, Recorder, TraceSink};
 pub use snapshot::{Better, Metric, Snapshot};
 pub use span::{ArgValue, CounterSample, Span, TrackId};
 pub use telemetry::{

@@ -4,12 +4,12 @@
 //! `traceEvents` array), which <https://ui.perfetto.dev> and
 //! `chrome://tracing` both load. The mapping:
 //!
-//! * every [`TrackId`] becomes one thread (`tid` from [`TrackId::tid`])
+//! * every [`TrackId`](crate::TrackId) becomes one thread (`tid` from [`TrackId::tid`](crate::TrackId::tid))
 //!   inside a single process, named via an `"M"` (metadata) event;
-//! * every [`Span`] becomes an `"X"` (complete) event with `ts` = start
+//! * every [`Span`](crate::Span) becomes an `"X"` (complete) event with `ts` = start
 //!   cycle and `dur` = cycle count — cycles stand in for microseconds, so
 //!   the viewer's time axis reads directly in cycles;
-//! * every [`CounterSample`] becomes a `"C"` event.
+//! * every [`CounterSample`](crate::CounterSample) becomes a `"C"` event.
 //!
 //! Output is deterministic: metadata first (tracks sorted), then spans in
 //! recording order, then counters in recording order. Two identical runs

@@ -15,7 +15,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
 
 /// Something that accepts spans and counters.
 ///
@@ -33,38 +32,6 @@ pub trait Recorder: fmt::Debug {
     /// Advances a track's clock by `cycles`; returns the clock *before*
     /// the advance (the natural span start).
     fn advance(&mut self, track: TrackId, cycles: u64) -> u64;
-
-    /// Merges a sink recorded in isolation (clocks starting at 0) into
-    /// this recorder: every span and counter of `local` is shifted by
-    /// this recorder's *current* clock of its track, then the clocks
-    /// advance by the local totals. Recording order within `local` is
-    /// preserved, so absorbing per-shard sinks in shard order reproduces
-    /// bit-for-bit the trace a sequential run would have recorded — the
-    /// deterministic-merge half of the host-parallel shard scheduler.
-    fn absorb(&mut self, local: TraceSink) {
-        let mut offsets: HashMap<TrackId, u64> = HashMap::new();
-        for track in local
-            .spans
-            .iter()
-            .map(|s| s.track)
-            .chain(local.counters.iter().map(|c| c.track))
-            .chain(local.clocks.keys().copied())
-        {
-            let base = self.clock(track);
-            offsets.entry(track).or_insert(base);
-        }
-        for mut span in local.spans {
-            span.start += offsets[&span.track];
-            self.record_span(span);
-        }
-        for mut c in local.counters {
-            c.cycle += offsets[&c.track];
-            self.record_counter(c);
-        }
-        for (track, cycles) in local.clocks {
-            self.advance(track, cycles);
-        }
-    }
 }
 
 /// The default recorder: retains every span and counter in memory.
@@ -203,11 +170,6 @@ impl Observer {
         }
     }
 
-    /// The default track this observer stamps spans onto.
-    pub fn track(&self) -> TrackId {
-        self.track
-    }
-
     /// Current cycle clock of the default track (0 when disabled).
     pub fn clock(&self) -> u64 {
         match &self.sink {
@@ -276,70 +238,6 @@ impl Observer {
             value,
         });
     }
-
-    /// Merges a sink recorded in isolation into this observer's recorder
-    /// (see [`Recorder::absorb`]). No-op when disabled.
-    pub fn absorb(&self, local: TraceSink) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut().absorb(local);
-        }
-    }
-}
-
-/// A [`TraceSink`] behind `Arc<Mutex<..>>` — the thread-safe recorder.
-///
-/// Worker threads that want *live* aggregation (rather than the
-/// deterministic per-shard sinks merged with [`Recorder::absorb`]) clone
-/// the handle and wrap it in a thread-local [`Observer`] via
-/// [`SharedSink::observer`]. Span order then follows host scheduling, so
-/// a shared sink trades bit-reproducible traces for immediacy; the shard
-/// scheduler itself uses local sinks plus `absorb` for that reason.
-#[derive(Debug, Clone, Default)]
-pub struct SharedSink(Arc<Mutex<TraceSink>>);
-
-impl SharedSink {
-    /// A fresh, empty shared sink.
-    pub fn new() -> Self {
-        SharedSink::default()
-    }
-
-    /// An observer recording into this sink, usable on the calling
-    /// thread (the handle itself crosses threads; observers do not).
-    pub fn observer(&self) -> Observer {
-        Observer::with_recorder(Rc::new(RefCell::new(self.clone())))
-    }
-
-    /// Takes the accumulated trace, leaving the sink empty.
-    pub fn take(&self) -> TraceSink {
-        std::mem::take(&mut self.0.lock().expect("sink poisoned"))
-    }
-
-    /// Runs `f` with the locked underlying sink.
-    pub fn with<R>(&self, f: impl FnOnce(&TraceSink) -> R) -> R {
-        f(&self.0.lock().expect("sink poisoned"))
-    }
-}
-
-impl Recorder for SharedSink {
-    fn record_span(&mut self, span: Span) {
-        self.0.lock().expect("sink poisoned").record_span(span);
-    }
-
-    fn record_counter(&mut self, sample: CounterSample) {
-        self.0.lock().expect("sink poisoned").record_counter(sample);
-    }
-
-    fn clock(&self, track: TrackId) -> u64 {
-        self.0.lock().expect("sink poisoned").clock(track)
-    }
-
-    fn advance(&mut self, track: TrackId, cycles: u64) -> u64 {
-        self.0.lock().expect("sink poisoned").advance(track, cycles)
-    }
-
-    fn absorb(&mut self, local: TraceSink) {
-        self.0.lock().expect("sink poisoned").absorb(local);
-    }
 }
 
 #[cfg(test)]
@@ -397,86 +295,6 @@ mod tests {
         let sink = sink.borrow();
         assert_eq!(sink.counters[0].cycle, 42);
         assert_eq!(sink.counter_value(TrackId::Core(0), "stall.ecc"), Some(7.0));
-    }
-
-    #[test]
-    fn absorb_offsets_by_track_and_advances_clocks() {
-        // Parent has prior activity on Core(0); the local sink was
-        // recorded in isolation against fresh clocks.
-        let (parent, psink) = Observer::memory();
-        parent.place("warmup", "kernel", 40, Vec::new);
-        let (local, lsink) = Observer::memory();
-        local.place("shard", "kernel", 100, Vec::new);
-        local.counter("rows", 7.0);
-        local
-            .on_track(TrackId::Core(3))
-            .place("other", "kernel", 5, Vec::new);
-        drop(local);
-        let lsink = Rc::try_unwrap(lsink).unwrap().into_inner();
-        parent.absorb(lsink);
-        let s = psink.borrow();
-        // Core(0): warmup [0,40) then shard [40,140); counter at 140.
-        assert_eq!(s.spans[1].name, "shard");
-        assert_eq!(s.spans[1].start, 40);
-        assert_eq!(s.counters[0].cycle, 140);
-        // Core(3) had no prior activity: span lands at 0, clock at 5.
-        assert_eq!(s.spans[2].start, 0);
-        assert_eq!(s.clock(TrackId::Core(0)), 140);
-        assert_eq!(s.clock(TrackId::Core(3)), 5);
-    }
-
-    #[test]
-    fn absorb_in_shard_order_matches_sequential_recording() {
-        // Sequential: two shards recorded directly into one sink.
-        let (seq, seq_sink) = Observer::memory();
-        for i in 0..2u32 {
-            let core = seq.on_track(TrackId::Core(i));
-            core.place("k", "kernel", 10 * (u64::from(i) + 1), Vec::new);
-            core.counter("c", f64::from(i));
-        }
-        // "Parallel": each shard in its own sink, absorbed in order.
-        let (par, par_sink) = Observer::memory();
-        let locals: Vec<TraceSink> = (0..2u32)
-            .map(|i| {
-                let (o, s) = Observer::memory();
-                let core = o.on_track(TrackId::Core(i));
-                core.place("k", "kernel", 10 * (u64::from(i) + 1), Vec::new);
-                core.counter("c", f64::from(i));
-                drop((o, core));
-                Rc::try_unwrap(s).unwrap().into_inner()
-            })
-            .collect();
-        for l in locals {
-            par.absorb(l);
-        }
-        let (a, b) = (seq_sink.borrow(), par_sink.borrow());
-        assert_eq!(a.spans, b.spans);
-        assert_eq!(a.counters, b.counters);
-        assert_eq!(a.tracks(), b.tracks());
-    }
-
-    #[test]
-    fn shared_sink_records_across_threads() {
-        let shared = SharedSink::new();
-        std::thread::scope(|scope| {
-            for i in 0..4u32 {
-                let shared = shared.clone();
-                scope.spawn(move || {
-                    let obs = shared.observer().on_track(TrackId::Core(i));
-                    obs.place("k", "kernel", 10, Vec::new);
-                });
-            }
-        });
-        let sink = shared.take();
-        assert_eq!(sink.spans.len(), 4);
-        let mut tracks = sink.tracks();
-        tracks.sort();
-        assert_eq!(
-            tracks,
-            (0..4).map(TrackId::Core).collect::<Vec<_>>(),
-            "each worker records on its own track"
-        );
-        assert!(shared.with(|s| s.spans.is_empty()), "take drained the sink");
     }
 
     #[test]

@@ -5,12 +5,11 @@ use crate::index::Table;
 use crate::predicate::Predicate;
 use dbx_core::multicore::run_partition_with;
 use dbx_core::runner::build_processor_with;
-use dbx_core::sched::{run_indexed, HostSched};
 use dbx_core::{run_sort_with, ProcModel, RunOptions, SetOpKind};
 use dbx_cpu::isa::regs::{A2, A3, A4, A5};
 use dbx_cpu::{emit_kernel_run, ProgramBuilder, DMEM0_BASE, SYSMEM_BASE};
 use dbx_faults::{FaultCounters, FaultPlan};
-use dbx_observe::{ArgValue, Observer, TrackId};
+use dbx_observe::{ArgValue, TrackId};
 
 /// Result of executing a query.
 #[derive(Debug, Clone)]
@@ -136,12 +135,6 @@ impl QueryEngine {
     /// Merges posting lists of a key range into one sorted RID list with
     /// a balanced tree of ASIP unions (posting lists of different keys
     /// interleave arbitrarily in RID space).
-    ///
-    /// The unions within one tree level are independent, so with a
-    /// parallel [`RunOptions::sched`] each level fans out over the host
-    /// shard scheduler. The fold back is positional — pair order, the
-    /// same order the sequential loop offloads in — so accounting and
-    /// traces stay bit-identical to [`HostSched::Sequential`].
     fn merge_postings(
         &self,
         lists: Vec<&[u32]>,
@@ -159,111 +152,14 @@ impl QueryEngine {
             } else {
                 None
             };
-            let pairs: Vec<(Vec<u32>, Vec<u32>)> = {
-                let mut pairs = Vec::with_capacity(level.len() / 2);
-                let mut it = level.into_iter();
-                while let (Some(a), Some(b)) = (it.next(), it.next()) {
-                    pairs.push((a, b));
-                }
-                pairs
-            };
-            let mut next = if self.options.sched.is_parallel(pairs.len()) {
-                self.union_pairs_parallel(&pairs, out, plan)?
-            } else {
-                let mut next = Vec::with_capacity(pairs.len());
-                for (a, b) in &pairs {
-                    next.push(self.offload(SetOpKind::Union, a, b, out, plan)?);
-                }
-                next
-            };
+            let mut next = Vec::with_capacity(level.len() / 2 + 1);
+            for pair in level.chunks_exact(2) {
+                next.push(self.offload(SetOpKind::Union, &pair[0], &pair[1], out, plan)?);
+            }
             next.extend(carry);
             level = next;
         }
         Ok(level.pop().unwrap())
-    }
-
-    /// Runs one union-tree level's pairs on the host shard scheduler.
-    ///
-    /// Workers rebuild `RunOptions` from the engine's `Send`-safe fields
-    /// (an [`Observer`] is thread-local) and record into fresh in-memory
-    /// sinks; the fold absorbs each sink and places the Host-track
-    /// operator span in pair order, reproducing exactly what the
-    /// sequential [`QueryEngine::offload`] loop would have recorded. The
-    /// engine's fault plan, if still pending, strikes the first pair only.
-    fn union_pairs_parallel(
-        &self,
-        pairs: &[(Vec<u32>, Vec<u32>)],
-        out: &mut QueryOutput,
-        plan: &mut Option<FaultPlan>,
-    ) -> Result<Vec<Vec<u32>>, QueryError> {
-        let observed = self.options.observer.is_enabled();
-        let track = self.options.observer.track();
-        let pending_plan = plan.take();
-        let fault_plan = &pending_plan;
-        let (protection, policy, watchdog, deadline, profile) = (
-            self.options.protection,
-            self.options.policy,
-            self.options.watchdog,
-            self.options.deadline,
-            self.options.profile,
-        );
-        let model = self.model;
-        let shards = run_indexed(self.options.sched, pairs.len(), move |idx| {
-            let (a, b) = &pairs[idx];
-            let (observer, sink) = if observed {
-                let (obs, sink) = Observer::memory();
-                (obs.on_track(track), Some(sink))
-            } else {
-                (Observer::default(), None)
-            };
-            let op_opts = RunOptions {
-                protection,
-                fault_plan: if idx == 0 { fault_plan.clone() } else { None },
-                policy,
-                watchdog,
-                deadline,
-                observer,
-                sched: HostSched::Sequential,
-                profile,
-            };
-            run_partition_with(model, SetOpKind::Union, a, b, &op_opts).map(|r| {
-                drop(op_opts); // release the worker's observer handle
-                let local = sink.map(|s| {
-                    std::rc::Rc::try_unwrap(s)
-                        .expect("pair-local observer still referenced")
-                        .into_inner()
-                });
-                (r, local)
-            })
-        });
-        let mut results = Vec::with_capacity(shards.len());
-        for (idx, shard) in shards.into_iter().enumerate() {
-            // Pair order; the lowest-indexed error wins, as sequentially.
-            let (part, local) = shard?;
-            if let Some(local) = local {
-                self.options.observer.absorb(local);
-            }
-            let (a, b) = &pairs[idx];
-            out.cycles += part.cycles;
-            out.set_ops += 1;
-            out.elements_processed += (a.len() + b.len()) as u64;
-            out.retries += part.retries;
-            out.degraded_ops += part.degraded as u64;
-            out.faults.merge(&part.faults);
-            if observed {
-                let host = self.options.observer.on_track(TrackId::Host);
-                host.place(SetOpKind::Union.name(), "query", part.cycles, || {
-                    vec![
-                        ("rows_a", ArgValue::from(a.len())),
-                        ("rows_b", b.len().into()),
-                        ("rows_out", part.result.len().into()),
-                        ("retries", u64::from(part.retries).into()),
-                    ]
-                });
-            }
-            results.push(part.result);
-        }
-        Ok(results)
     }
 
     fn eval(
@@ -497,27 +393,6 @@ mod tests {
         assert!(out.set_ops >= 1, "a multi-key range needs unions");
         // The output must be sorted and duplicate-free.
         assert!(out.rids.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn parallel_sched_matches_sequential_query() {
-        let t = demo_table(900);
-        let model = ProcModel::Dba2LsuEis { partial: true };
-        let pred = Predicate::between("size", 2, 36).or(Predicate::eq("color", 2));
-        let seq = QueryEngine::new(model).execute(&t, &pred).unwrap();
-        let engine = QueryEngine::with_options(
-            model,
-            RunOptions {
-                sched: HostSched::Parallel { threads: 4 },
-                ..Default::default()
-            },
-        );
-        let par = engine.execute(&t, &pred).unwrap();
-        assert_eq!(par.rids, seq.rids);
-        assert_eq!(par.cycles, seq.cycles, "simulated cost is sched-invariant");
-        assert_eq!(par.set_ops, seq.set_ops);
-        assert_eq!(par.elements_processed, seq.elements_processed);
-        assert_eq!(par.retries, seq.retries);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use dbasip::cpu::isa::regs::*;
 use dbasip::cpu::isa::{ExtOp, Instr, OpArgs};
 use dbasip::cpu::{CpuConfig, Processor, ProgramBuilder, SimError, DMEM0_BASE, SYSMEM_BASE};
-use dbasip::dbisa::kernels::{hwset, SetLayout};
+use dbasip::dbisa::kernels::{hwset, hwsort, SetLayout, SortLayout};
 use dbasip::dbisa::{run_set_op, DbExtConfig, DbExtension, ProcModel, SetOpKind};
 use dbasip::mem::MemError;
 
@@ -211,4 +211,18 @@ fn a_zero_unroll_factor_is_a_typed_error() {
     let opts = StreamOptions::default();
     let e = stream_set_op_with(SetOpKind::Difference, &[1, 2, 3], &[2, 3], cfg, &opts).unwrap_err();
     assert!(matches!(e, SimError::BadProgram(_)), "{e:?}");
+}
+
+#[test]
+fn a_sort_length_off_a_multiple_of_four_is_a_typed_error() {
+    let wiring = DbExtConfig::two_lsu(true);
+    for n in [0, 6] {
+        let layout = SortLayout {
+            src: 0x6000_0000,
+            dst: 0x6000_1000,
+            n,
+        };
+        let e = hwsort::merge_sort_program(&wiring, &layout).unwrap_err();
+        assert!(matches!(e, SimError::BadProgram(_)), "n={n}: {e:?}");
+    }
 }
