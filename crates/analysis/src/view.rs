@@ -228,14 +228,6 @@ impl<'p> View<'p> {
     pub fn enclosing_loop(&self, pc: u32) -> Option<&LoopRegion> {
         self.loops.iter().find(|l| l.well_formed && l.contains(pc))
     }
-
-    /// Bit index of a named extension state.
-    pub fn state_bit(&self, name: &str) -> Option<u64> {
-        self.states
-            .iter()
-            .position(|s| *s == name)
-            .map(|p| 1u64 << p)
-    }
 }
 
 pub(crate) fn effects_of(

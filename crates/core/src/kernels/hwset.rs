@@ -18,7 +18,7 @@
 //! store FIFO and, for union/difference, drain the surviving stream with
 //! the 128-bit copy instructions.
 
-use super::{e, e_r, e_s, SetLayout};
+use super::{e, e_r, e_s, SetLayout, SetOpTemplate};
 use crate::datapath::SetOpKind;
 use crate::ops::{opcodes as op, DbExtConfig};
 use dbx_cpu::isa::regs::*;
@@ -29,29 +29,57 @@ use dbx_cpu::{Program, ProgramBuilder, SimError};
 pub const DEFAULT_UNROLL: usize = 32;
 
 /// Builds the EIS sorted-set program for `kind` over `layout` with the
-/// given LSU `wiring` and loop `unroll` factor.
+/// given LSU `wiring` and loop `unroll` factor. The runner gets the same
+/// program by patching the kernel's template (`SetOpTemplate`) per call.
 pub fn set_op_program(
     kind: SetOpKind,
     wiring: &DbExtConfig,
     layout: &SetLayout,
     unroll: usize,
 ) -> Result<Program, SimError> {
+    Ok(emit(kind, wiring, unroll, layout.stream_words())?.program)
+}
+
+/// Assembles the EIS sorted-set kernel once for every layout (see
+/// [`SetOpTemplate`]).
+pub(crate) fn set_op_template(
+    kind: SetOpKind,
+    wiring: &DbExtConfig,
+    unroll: usize,
+) -> Result<SetOpTemplate, SimError> {
+    emit(kind, wiring, unroll, [SetOpTemplate::PLACEHOLDER; 5])
+}
+
+/// The one EIS set-op emitter: the kernel with `words`
+/// ([`SetLayout::stream_words`] order) in its stream-address `movi`s.
+pub(crate) fn emit(
+    kind: SetOpKind,
+    wiring: &DbExtConfig,
+    unroll: usize,
+    words: [u32; 5],
+) -> Result<SetOpTemplate, SimError> {
     let mut b = ProgramBuilder::new();
     // ---- initialisation (Figure 11: INIT_STATES + initial load) ----
     b.label("init");
     b.inst(e(op::INIT));
-    b.movi(A2, layout.a_base as i32);
-    b.inst(e_s(op::WUR_PTR_A, A2));
-    b.movi(A2, layout.a_end() as i32);
-    b.inst(e_s(op::WUR_END_A, A2));
-    b.movi(A2, layout.b_base as i32);
-    b.inst(e_s(op::WUR_PTR_B, A2));
-    b.movi(A2, layout.b_end() as i32);
-    b.inst(e_s(op::WUR_END_B, A2));
-    b.movi(A2, layout.c_base as i32);
-    b.inst(e_s(op::WUR_PTR_C, A2));
+    let wurs = [
+        op::WUR_PTR_A,
+        op::WUR_END_A,
+        op::WUR_PTR_B,
+        op::WUR_END_B,
+        op::WUR_PTR_C,
+    ];
+    let mut stream_movis = [0; 5];
+    for ((ix, word), wur) in stream_movis.iter_mut().zip(words).zip(wurs) {
+        *ix = b.len();
+        b.movi(A2, word as i32);
+        b.inst(e_s(wur, A2));
+    }
     emit_core_and_epilogue(&mut b, kind, wiring, unroll)?;
-    b.build()
+    Ok(SetOpTemplate {
+        program: b.build()?,
+        stream_movis,
+    })
 }
 
 /// Builds a reusable EIS sorted-set program whose stream pointers come

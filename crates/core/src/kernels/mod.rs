@@ -14,7 +14,7 @@ pub mod hwsort;
 pub mod scalar;
 
 use dbx_cpu::isa::{ExtOp, Instr, OpArgs};
-use dbx_cpu::Reg;
+use dbx_cpu::{Program, Reg, SimError};
 
 /// Placement of the two input sets and the result sequence in data memory.
 ///
@@ -43,6 +43,53 @@ impl SetLayout {
     /// One-past-the-end address of set B.
     pub fn b_end(&self) -> u32 {
         self.b_base + 4 * self.b_len
+    }
+
+    /// The five stream words a set-op kernel's prologue loads, in the
+    /// order `[a_base, a_end, b_base, b_end, c_base]`.
+    pub(crate) fn stream_words(&self) -> [u32; 5] {
+        [
+            self.a_base,
+            self.a_end(),
+            self.b_base,
+            self.b_end(),
+            self.c_base,
+        ]
+    }
+}
+
+/// A set-op kernel assembled once for every layout.
+///
+/// The only layout-dependent part of a set-op kernel is its prologue's
+/// five stream-address `movi`s (the paper's Figure 11 INIT). A template
+/// is the kernel emitted with a placeholder in those five immediates,
+/// plus where they are; `patch` writes one layout's addresses into a
+/// copy. Placeholder and real addresses are both wide `movi`s, so the
+/// patched program is byte-identical to the kernel emitted for that
+/// layout directly.
+#[derive(Debug)]
+pub(crate) struct SetOpTemplate {
+    program: Program,
+    /// Instruction indices of the stream `movi`s, in
+    /// [`SetLayout::stream_words`] order.
+    stream_movis: [usize; 5],
+}
+
+impl SetOpTemplate {
+    /// The stream word a template is emitted with: a wide `movi`
+    /// immediate, as every address in the simulated memories is, and
+    /// unmapped on every model, so an unpatched template faults.
+    const PLACEHOLDER: u32 = 0x2000_0000;
+
+    /// The kernel for `layout`: a copy of the template with the layout's
+    /// stream words in place of the placeholders. A stream word whose
+    /// `movi` would be narrow (within 2 MiB of address zero or of the top
+    /// of the address space) is [`SimError::BadProgram`].
+    pub(crate) fn patch(&self, layout: &SetLayout) -> Result<Program, SimError> {
+        let words = layout.stream_words();
+        let edits: [(usize, i32); 5] =
+            std::array::from_fn(|i| (self.stream_movis[i], words[i] as i32));
+        self.program.with_immediates(&edits)
     }
 }
 
@@ -92,6 +139,74 @@ pub(crate) fn e_s(op: u16, s: Reg) -> Instr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::configs::ProcModel;
+    use crate::datapath::SetOpKind;
+    use crate::runner::set_layout;
+    use dbx_cpu::encode::encode_program;
+    use proptest::prelude::*;
+
+    /// Every observable of a program: code and addresses, labels, size
+    /// and the binary image.
+    fn same_program(patched: &Program, emitted: &Program) -> Result<(), TestCaseError> {
+        prop_assert_eq!(
+            patched.iter().collect::<Vec<_>>(),
+            emitted.iter().collect::<Vec<_>>()
+        );
+        let labels = |p: &Program| {
+            let mut l: Vec<(String, u32)> = p
+                .labels_sorted()
+                .into_iter()
+                .map(|(n, a)| (n.to_string(), a))
+                .collect();
+            l.sort();
+            l
+        };
+        prop_assert_eq!(labels(patched), labels(emitted));
+        prop_assert_eq!(patched.size_bytes(), emitted.size_bytes());
+        prop_assert_eq!(
+            encode_program(patched).unwrap(),
+            encode_program(emitted).unwrap()
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn a_patched_template_is_the_kernel_emitted_for_its_layout(
+            a_len in 0u32..=3000,
+            b_len in 0u32..=3000,
+            unroll in 1usize..=32,
+        ) {
+            let models = [
+                ProcModel::Mini108,
+                ProcModel::Dba1Lsu,
+                ProcModel::Dba2Lsu,
+                ProcModel::Dba1LsuEis { partial: false },
+                ProcModel::Dba1LsuEis { partial: true },
+                ProcModel::Dba2LsuEis { partial: false },
+                ProcModel::Dba2LsuEis { partial: true },
+            ];
+            for model in models {
+                let Ok(layout) = set_layout(model, a_len, b_len) else {
+                    continue; // the sets do not fit this model's memory
+                };
+                for kind in [SetOpKind::Intersect, SetOpKind::Union, SetOpKind::Difference] {
+                    let words = layout.stream_words();
+                    let (patched, emitted) = match model.wiring() {
+                        Some(w) => (
+                            hwset::set_op_template(kind, &w, unroll).unwrap().patch(&layout).unwrap(),
+                            hwset::emit(kind, &w, unroll, words).unwrap().program,
+                        ),
+                        None => (
+                            scalar::set_op_template(kind).unwrap().patch(&layout).unwrap(),
+                            scalar::emit(kind, words).unwrap().program,
+                        ),
+                    };
+                    same_program(&patched, &emitted)?;
+                }
+            }
+        }
+    }
 
     #[test]
     fn layout_end_addresses() {

@@ -18,20 +18,35 @@
 //! Each program halts with the output pointer in `a6`; callers derive the
 //! result length as `(a6 - c_base) / 4`.
 
-use super::SetLayout;
+use super::{SetLayout, SetOpTemplate};
 use crate::datapath::SetOpKind;
 use dbx_cpu::isa::regs::*;
 use dbx_cpu::{Program, ProgramBuilder, SimError};
 
-/// Builds the scalar sorted-set program for `kind` over `layout`.
+/// Builds the scalar sorted-set program for `kind` over `layout`. The
+/// runner gets the same program by patching the kernel's
+/// template (`SetOpTemplate`) per call.
 pub fn set_op_program(kind: SetOpKind, layout: &SetLayout) -> Result<Program, SimError> {
+    Ok(emit(kind, layout.stream_words())?.program)
+}
+
+/// Assembles the scalar sorted-set kernel once for every layout (see
+/// [`SetOpTemplate`]).
+pub(crate) fn set_op_template(kind: SetOpKind) -> Result<SetOpTemplate, SimError> {
+    emit(kind, [SetOpTemplate::PLACEHOLDER; 5])
+}
+
+/// The one scalar set-op emitter: the kernel with `words`
+/// ([`SetLayout::stream_words`] order) in its pointer `movi`s.
+pub(crate) fn emit(kind: SetOpKind, words: [u32; 5]) -> Result<SetOpTemplate, SimError> {
     let mut b = ProgramBuilder::new();
     b.label("init");
-    b.movi(A2, layout.a_base as i32);
-    b.movi(A3, layout.b_base as i32);
-    b.movi(A4, layout.a_end() as i32);
-    b.movi(A5, layout.b_end() as i32);
-    b.movi(A6, layout.c_base as i32);
+    // a2 = a_base, a3 = b_base, a4 = a_end, a5 = b_end, a6 = c_base.
+    let mut stream_movis = [0; 5];
+    for (word, r) in [(0, A2), (2, A3), (1, A4), (3, A5), (4, A6)] {
+        stream_movis[word] = b.len();
+        b.movi(r, words[word] as i32);
+    }
 
     b.label("core_loop");
     match kind {
@@ -120,7 +135,10 @@ pub fn set_op_program(kind: SetOpKind, layout: &SetLayout) -> Result<Program, Si
     }
     b.label("done");
     b.halt();
-    b.build()
+    Ok(SetOpTemplate {
+        program: b.build()?,
+        stream_movis,
+    })
 }
 
 /// Builds the scalar bottom-up merge-sort (Section 2.3, Figure 2's merge

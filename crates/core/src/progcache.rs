@@ -1,14 +1,16 @@
 //! Process-wide memoization of assembled kernel programs.
 //!
-//! Assembling a set-op or sort kernel is deterministic in the processor
-//! model, the kernel selection, and the data layout. Bench sweeps and the
-//! runner's retry loop would otherwise re-assemble (and re-verify) the
-//! identical program for every point or attempt; the cache hands out
-//! [`Arc<Program>`] handles instead, which the simulator's shared-program
-//! loader ([`dbx_cpu::Processor::load_program_shared`]) accepts without
-//! copying the instruction image.
+//! A set-op kernel depends on the data layout only through the five
+//! stream addresses of its prologue, so it is assembled once per
+//! (processor model, operation) as a `SetOpTemplate` and patched per
+//! call. A sort kernel's pass count depends on the element count, so it
+//! is memoized per (model, layout). Bench sweeps and the runner's retry
+//! loop would otherwise re-assemble the identical kernel for every point
+//! or attempt; the cache hands out shared handles instead, and sort
+//! programs go to the simulator's shared-program loader
+//! ([`dbx_cpu::Processor::load_program_shared`]) without a copy.
 //!
-//! The cache is a plain mutex-guarded map: kernel assembly happens well
+//! Each cache is a plain mutex-guarded map: kernel assembly happens well
 //! off the per-cycle path, and holding the lock across a miss means two
 //! host threads racing on the same key assemble it once.
 
@@ -21,60 +23,52 @@ use dbx_cpu::SimError;
 
 use crate::configs::ProcModel;
 use crate::datapath::SetOpKind;
-use crate::kernels::{SetLayout, SortLayout};
+use crate::kernels::{SetOpTemplate, SortLayout};
 
-/// Memoization key: everything a kernel's assembly depends on. The layout
-/// is part of the key because base addresses and element counts are baked
-/// into the emitted immediates.
+/// Memoization key: everything a kernel's assembly depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum ProgKey {
-    /// A sorted-set operation kernel.
+    /// A sorted-set operation kernel template.
     SetOp {
-        /// Processor model the program was assembled for.
+        /// Processor model the template was assembled for.
         model: ProcModel,
         /// The set operation.
         kind: SetOpKind,
-        /// Input/output placement.
-        layout: SetLayout,
     },
     /// A merge-sort kernel.
     Sort {
         /// Processor model (already lowered to its 1-LSU sort form).
         model: ProcModel,
-        /// Ping-pong buffer placement.
+        /// Ping-pong buffer placement; the pass count depends on `n`.
         layout: SortLayout,
     },
 }
 
-/// A memoized assembly result.
-#[derive(Clone)]
-pub(crate) struct CachedProgram {
-    /// The assembled (and preflight-verified) program.
-    pub program: Arc<Program>,
-    /// Sort kernels only: whether the sorted data ends in the scratch
-    /// buffer (odd number of merge passes). `false` for set operations.
-    pub in_dst: bool,
-}
+/// A memoized sort kernel: the program and whether the sorted data ends
+/// in the scratch buffer (odd number of merge passes).
+pub(crate) type SortProgram = (Arc<Program>, bool);
 
-/// Cache capacity bound. On overflow the map is cleared outright — a
-/// deterministic policy that keeps the steady state simple; sweeps cycle
-/// through far fewer distinct (model, kernel, layout) triples than this.
+/// Capacity bound of each cache. On overflow the map is cleared outright
+/// — a deterministic policy that keeps the steady state simple. Only the
+/// sort cache can reach it: set-op templates number at most models ×
+/// operations.
 const CACHE_CAP: usize = 256;
+
+type Cache<V> = OnceLock<Mutex<HashMap<ProgKey, V>>>;
+
+static SET_OPS: Cache<Arc<SetOpTemplate>> = OnceLock::new();
+static SORTS: Cache<SortProgram> = OnceLock::new();
 
 static ASSEMBLIES: AtomicU64 = AtomicU64::new(0);
 
-fn cache() -> &'static Mutex<HashMap<ProgKey, CachedProgram>> {
-    static CACHE: OnceLock<Mutex<HashMap<ProgKey, CachedProgram>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Number of programs actually assembled (cache misses) since process
+/// Number of kernels actually assembled (cache misses) since process
 /// start. Monotone; regression tests assert on deltas of this to prove a
 /// run (including its retries) assembles each kernel at most once.
 pub fn assemblies() -> u64 {
     ASSEMBLIES.load(Ordering::Relaxed)
 }
 
+#[cfg(test)]
 fn assembly_counts() -> &'static Mutex<HashMap<ProgKey, u64>> {
     static COUNTS: OnceLock<Mutex<HashMap<ProgKey, u64>>> = OnceLock::new();
     COUNTS.get_or_init(|| Mutex::new(HashMap::new()))
@@ -94,24 +88,55 @@ pub(crate) fn assemblies_for(key: &ProgKey) -> u64 {
         .unwrap_or(0)
 }
 
+/// The set-op template for (`model`, `kind`), assembled with `build` on a
+/// miss.
+pub(crate) fn set_op_template(
+    model: ProcModel,
+    kind: SetOpKind,
+    build: impl FnOnce() -> Result<SetOpTemplate, SimError>,
+) -> Result<Arc<SetOpTemplate>, SimError> {
+    get_or_assemble(&SET_OPS, ProgKey::SetOp { model, kind }, || {
+        build().map(Arc::new)
+    })
+}
+
+/// The sort kernel for (`model`, `layout`), assembled with `build` on a
+/// miss.
+pub(crate) fn sort_program(
+    model: ProcModel,
+    layout: SortLayout,
+    build: impl FnOnce() -> Result<(Program, bool), SimError>,
+) -> Result<SortProgram, SimError> {
+    get_or_assemble(&SORTS, ProgKey::Sort { model, layout }, || {
+        build().map(|(program, in_dst)| (Arc::new(program), in_dst))
+    })
+}
+
 /// Looks up `key`, assembling with `build` on a miss. Errors from `build`
-/// (bad layouts, preflight failures) are never cached, so every caller
+/// (bad layouts, bad unroll factors) are never cached, so every caller
 /// sees them.
-pub(crate) fn get_or_assemble(
+fn get_or_assemble<V: Clone>(
+    cache: &Cache<V>,
     key: ProgKey,
-    build: impl FnOnce() -> Result<CachedProgram, SimError>,
-) -> Result<CachedProgram, SimError> {
-    let mut map = cache().lock().unwrap_or_else(|e| e.into_inner());
+    build: impl FnOnce() -> Result<V, SimError>,
+) -> Result<V, SimError> {
+    let mut map = cache
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
     if let Some(hit) = map.get(&key) {
         return Ok(hit.clone());
     }
     let built = build()?;
     ASSEMBLIES.fetch_add(1, Ordering::Relaxed);
-    *assembly_counts()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .entry(key)
-        .or_insert(0) += 1;
+    #[cfg(test)]
+    {
+        *assembly_counts()
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .entry(key)
+            .or_insert(0) += 1;
+    }
     if map.len() >= CACHE_CAP {
         map.clear();
     }
@@ -123,41 +148,43 @@ pub(crate) fn get_or_assemble(
 mod tests {
     use super::*;
 
-    fn key(n: u32) -> ProgKey {
-        ProgKey::Sort {
-            model: ProcModel::Dba1Lsu,
-            layout: SortLayout {
-                src: 0x1000,
-                dst: 0x2000,
-                n,
-            },
+    fn layout(n: u32) -> SortLayout {
+        SortLayout {
+            src: 0x1000,
+            dst: 0x2000,
+            n,
         }
     }
 
-    fn dummy() -> CachedProgram {
+    fn dummy() -> (Program, bool) {
         let mut b = dbx_cpu::program::ProgramBuilder::new();
         b.halt();
-        CachedProgram {
-            program: Arc::new(b.build().unwrap()),
-            in_dst: false,
-        }
+        (b.build().unwrap(), false)
     }
 
     #[test]
     fn hit_does_not_reassemble() {
-        let k = key(u32::MAX); // distinct from any real layout
-        let before = assemblies();
-        get_or_assemble(k, || Ok(dummy())).unwrap();
-        get_or_assemble(k, || panic!("cache hit must not rebuild")).unwrap();
-        assert_eq!(assemblies(), before + 1);
+        let l = layout(u32::MAX); // distinct from any real layout
+        let key = ProgKey::Sort {
+            model: ProcModel::Dba1Lsu,
+            layout: l,
+        };
+        sort_program(ProcModel::Dba1Lsu, l, || Ok(dummy())).unwrap();
+        sort_program(ProcModel::Dba1Lsu, l, || {
+            panic!("cache hit must not rebuild")
+        })
+        .unwrap();
+        assert_eq!(assemblies_for(&key), 1);
     }
 
     #[test]
     fn build_errors_are_not_cached() {
-        let k = key(u32::MAX - 1);
-        let r = get_or_assemble(k, || Err(SimError::BadProgram("nope".into())));
+        let l = layout(u32::MAX - 1);
+        let r = sort_program(ProcModel::Dba1Lsu, l, || {
+            Err(SimError::BadProgram("nope".into()))
+        });
         assert!(r.is_err());
         // The next attempt still runs the builder.
-        get_or_assemble(k, || Ok(dummy())).unwrap();
+        sort_program(ProcModel::Dba1Lsu, l, || Ok(dummy())).unwrap();
     }
 }

@@ -17,7 +17,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::configs::ProcModel;
 use crate::datapath::SetOpKind;
@@ -33,6 +33,7 @@ use dbx_cpu::{
     DMEM1_BASE, SYSMEM_BASE,
 };
 use dbx_faults::{FaultCounters, FaultPlan, ProtectionKind};
+use dbx_mem::MemError;
 use dbx_observe::{ArgValue, Observer};
 
 /// Cycle budget for a single kernel run — generous; kernels that exceed it
@@ -46,18 +47,23 @@ static PREFLIGHT: AtomicBool = AtomicBool::new(false);
 /// pre-flight verifier (`dbx-analysis`): error-severity findings abort the
 /// run with [`SimError::BadProgram`] before a single cycle is simulated.
 /// Also enabled by setting the `DBX_PREFLIGHT` environment variable to
-/// anything but `0`.
+/// anything but `0`; the variable is read once per process, and
+/// `set_preflight(true)` turns the verifier on whatever it says.
 pub fn set_preflight(on: bool) {
     PREFLIGHT.store(on, Ordering::Relaxed);
 }
 
 fn preflight_enabled() -> bool {
-    PREFLIGHT.load(Ordering::Relaxed) || std::env::var_os("DBX_PREFLIGHT").is_some_and(|v| v != "0")
+    static FROM_ENV: OnceLock<bool> = OnceLock::new();
+    PREFLIGHT.load(Ordering::Relaxed)
+        || *FROM_ENV.get_or_init(|| std::env::var_os("DBX_PREFLIGHT").is_some_and(|v| v != "0"))
 }
 
 /// Runs the static verifier over `program` as it will execute on `model`,
-/// when pre-flight is enabled. Warnings are ignored here; `dbx-lint`
-/// surfaces them interactively.
+/// when pre-flight is enabled. Runners call it on every run, cached
+/// kernel or not, so a kernel assembled before pre-flight was switched on
+/// is verified too. Warnings are ignored here; `dbx-lint` surfaces them
+/// interactively.
 fn preflight_check(program: &Program, model: ProcModel) -> Result<(), SimError> {
     if !preflight_enabled() {
         return Ok(());
@@ -350,6 +356,32 @@ pub fn set_layout(model: ProcModel, a_len: u32, b_len: u32) -> Result<SetLayout,
     })
 }
 
+/// The result length a finished set-op kernel reports: the EIS kernels
+/// count results in `a2`, the scalar ones leave the output cursor in
+/// `a6`. `set_layout` reserves room for `a_len + b_len` results, so a
+/// length past that, or a cursor below `c_base`, can only come from a
+/// corrupted register (an injected upset, say). It is reported as the
+/// out-of-bounds last result word rather than read back.
+fn result_len(p: &Processor, model: ProcModel, layout: &SetLayout) -> Result<usize, SimError> {
+    let reserved = layout.a_len + layout.b_len;
+    let (len, end) = if model.has_eis() {
+        let n = p.ar[2];
+        (Some(n), layout.c_base.wrapping_add(n.wrapping_mul(4)))
+    } else {
+        let cursor = p.ar[6];
+        (cursor.checked_sub(layout.c_base).map(|d| d / 4), cursor)
+    };
+    match len {
+        Some(n) if n <= reserved => Ok(n as usize),
+        _ => Err(SimError::Mem(MemError::OutOfBounds {
+            addr: end.wrapping_sub(4),
+            len: 4,
+            base: layout.c_base,
+            size: 4 * reserved as usize,
+        })),
+    }
+}
+
 /// Runs a sorted-set operation on the given processor model and returns
 /// the result with cycle counts. Inputs must be strictly increasing.
 pub fn run_set_op(
@@ -374,29 +406,15 @@ pub fn run_set_op_with(
     validate_set("A", a)?;
     validate_set("B", b)?;
     let layout = set_layout(model, a.len() as u32, b.len() as u32)?;
-    // Memoized assembly: the program depends only on (model, kind,
-    // layout), so bench sweeps and the retry loop below reuse one image.
-    let cached = progcache::get_or_assemble(
-        progcache::ProgKey::SetOp {
-            model,
-            kind,
-            layout,
-        },
-        || {
-            let program = match model.wiring() {
-                Some(wiring) => {
-                    hwset::set_op_program(kind, &wiring, &layout, hwset::DEFAULT_UNROLL)?
-                }
-                None => scalar::set_op_program(kind, &layout)?,
-            };
-            preflight_check(&program, model)?;
-            Ok(progcache::CachedProgram {
-                program: Arc::new(program),
-                in_dst: false,
-            })
-        },
-    )?;
-    let program = cached.program;
+    // Memoized assembly: the kernel depends on the layout only through
+    // its five stream addresses, so it is assembled once per (model,
+    // kind) and patched here; the retry loop below reuses one image.
+    let template = progcache::set_op_template(model, kind, || match model.wiring() {
+        Some(wiring) => hwset::set_op_template(kind, &wiring, hwset::DEFAULT_UNROLL),
+        None => scalar::set_op_template(kind),
+    })?;
+    let program = Arc::new(template.patch(&layout)?);
+    preflight_check(&program, model)?;
     let program_bytes = program.size_bytes();
 
     let mut attempt = 0u32;
@@ -422,11 +440,7 @@ pub fn run_set_op_with(
         p.set_watchdog(opts.effective_watchdog());
         match p.run(MAX_CYCLES) {
             Ok(stats) => {
-                let out_len = if model.has_eis() {
-                    p.ar[2] as usize
-                } else {
-                    ((p.ar[6] - layout.c_base) / 4) as usize
-                };
+                let out_len = result_len(&p, model, &layout)?;
                 let result = p.mem.peek_words(layout.c_base, out_len)?;
                 faults.merge(&p.fault_counters());
                 let profile = p
@@ -552,24 +566,12 @@ pub fn run_sort_with(
     }
 
     let layout = SortLayout { src, dst, n };
-    let cached = progcache::get_or_assemble(
-        progcache::ProgKey::Sort {
-            model: exec_model,
-            layout,
-        },
-        || {
-            let (program, in_dst) = match exec_model.wiring() {
-                Some(wiring) => hwsort::merge_sort_program(&wiring, &layout)?,
-                None => scalar::merge_sort_program(src, dst, n)?,
-            };
-            preflight_check(&program, exec_model)?;
-            Ok(progcache::CachedProgram {
-                program: Arc::new(program),
-                in_dst,
-            })
-        },
-    )?;
-    let (program, in_dst) = (cached.program, cached.in_dst);
+    let (program, in_dst) =
+        progcache::sort_program(exec_model, layout, || match exec_model.wiring() {
+            Some(wiring) => hwsort::merge_sort_program(&wiring, &layout),
+            None => scalar::merge_sort_program(src, dst, n),
+        })?;
+    preflight_check(&program, exec_model)?;
     let program_bytes = program.size_bytes();
 
     let mut attempt = 0u32;
@@ -792,15 +794,14 @@ mod tests {
     #[test]
     fn retries_assemble_the_kernel_once() {
         use dbx_faults::FaultTarget;
-        // Sizes unique to this test so its cache key is untouched by
-        // concurrently running tests.
+        // The key is (model, kind), which concurrently running tests
+        // share; the cache assembles it once for all of them.
         let a = evens(257);
         let b = thirds(193);
         let model = ProcModel::Dba2LsuEis { partial: true };
         let key = progcache::ProgKey::SetOp {
             model,
             kind: SetOpKind::Intersect,
-            layout: set_layout(model, a.len() as u32, b.len() as u32).unwrap(),
         };
         let opts = RunOptions {
             protection: Some(ProtectionKind::Parity),
@@ -818,6 +819,17 @@ mod tests {
         // A second identical run is a pure cache hit.
         run_set_op_with(model, SetOpKind::Intersect, &a, &b, &opts).unwrap();
         assert_eq!(progcache::assemblies_for(&key), 1);
+        // So are 50 further layouts of the same (model, kind).
+        for n in 1..=50 {
+            let r = run_set_op(model, SetOpKind::Intersect, &evens(n), &thirds(n + 7)).unwrap();
+            let expect: Vec<u32> = evens(n).into_iter().filter(|x| x % 3 == 0).collect();
+            assert_eq!(r.result, expect, "n={n}");
+        }
+        assert_eq!(
+            progcache::assemblies_for(&key),
+            1,
+            "distinct layouts of one (model, kind) share one assembly"
+        );
     }
 
     #[test]

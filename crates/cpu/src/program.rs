@@ -17,8 +17,9 @@
 
 use crate::decode::{decode, Step};
 use crate::error::SimError;
-use crate::isa::{BranchCond, ExtOp, Instr, LsWidth, Reg};
+use crate::isa::{movi_is_wide, BranchCond, ExtOp, Instr, LsWidth, Reg};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Base address of instruction memory.
 pub const IMEM_BASE: u32 = 0x4000_0000;
@@ -49,8 +50,10 @@ pub struct Program {
     /// of `Vec<Option<u32>>`: half the footprint, and `fetch` tests one
     /// integer instead of matching two nested discriminants.
     slot_index: Vec<u32>,
-    /// Label name → byte address.
-    labels: HashMap<String, u32>,
+    /// Label name → byte address. Shared between a program and the
+    /// copies [`Program::with_immediates`] makes of it: labels are cold,
+    /// and copying the map would allocate once per label.
+    labels: Arc<HashMap<String, u32>>,
     /// Total encoded size in bytes.
     size: u32,
     /// Base byte address of the first instruction.
@@ -109,6 +112,45 @@ impl Program {
     /// Iterates over `(address, instruction)` pairs in layout order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Instr)> {
         self.steps.iter().map(|s| s.pc).zip(self.code.iter())
+    }
+
+    /// A copy of this program with the `movi` immediates at the given
+    /// instruction indices replaced. Only an [`Instr::Movi`] whose new
+    /// immediate keeps its encoded width may change, so every address,
+    /// the slot table, the labels and the decoded steps stay valid as
+    /// they are. Any other edit is [`SimError::BadProgram`].
+    ///
+    /// This is how a kernel assembled once with placeholder operands is
+    /// specialised per call without re-running the assembler.
+    pub fn with_immediates(&self, edits: &[(usize, i32)]) -> Result<Program, SimError> {
+        for &(ix, imm) in edits {
+            match self.code.get(ix) {
+                Some(Instr::Movi { imm: old, .. }) if movi_is_wide(*old) == movi_is_wide(imm) => {}
+                Some(Instr::Movi { imm: old, .. }) => {
+                    return Err(SimError::BadProgram(format!(
+                        "movi {imm:#x} at instruction {ix} changes the encoded width of {old:#x}"
+                    )))
+                }
+                Some(other) => {
+                    return Err(SimError::BadProgram(format!(
+                        "instruction {ix} is {other:?}, not a movi"
+                    )))
+                }
+                None => {
+                    return Err(SimError::BadProgram(format!(
+                        "instruction {ix} is past the end of a {}-instruction program",
+                        self.code.len()
+                    )))
+                }
+            }
+        }
+        let mut out = self.clone();
+        for &(ix, imm) in edits {
+            if let Instr::Movi { imm: old, .. } = &mut out.code[ix] {
+                *old = imm;
+            }
+        }
+        Ok(out)
     }
 
     /// Address of a label, if defined.
@@ -548,7 +590,7 @@ impl ProgramBuilder {
             code: self.code,
             steps,
             slot_index,
-            labels: label_addr,
+            labels: Arc::new(label_addr),
             size,
             base: self.base,
         })
@@ -723,6 +765,33 @@ mod tests {
     #[should_panic(expected = "word-aligned")]
     fn misaligned_base_panics() {
         ProgramBuilder::with_base(IMEM_BASE + 2);
+    }
+
+    #[test]
+    fn with_immediates_rewrites_only_movis_of_the_same_width() {
+        let mut b = ProgramBuilder::new();
+        b.label("start");
+        b.movi(A2, 0x6000_0000);
+        b.movi(A3, 5);
+        b.addi(A2, A2, 4);
+        b.halt();
+        let p = b.build().unwrap();
+        let q = p.with_immediates(&[(0, 0x6800_0040), (1, -7)]).unwrap();
+        let movi = |r, imm| Instr::Movi { r, imm };
+        assert_eq!(q.fetch(IMEM_BASE).unwrap(), &movi(A2, 0x6800_0040));
+        assert_eq!(q.fetch(IMEM_BASE + 8).unwrap(), &movi(A3, -7));
+        assert_eq!(q.size_bytes(), p.size_bytes());
+        assert_eq!(q.label_addr("start"), p.label_addr("start"));
+        // The original is untouched.
+        assert_eq!(p.fetch(IMEM_BASE).unwrap(), &movi(A2, 0x6000_0000));
+
+        // Not a movi, past the end, and either change of width.
+        for edits in [[(2, 1)], [(4, 1)], [(0, 16)], [(1, 0x6000_0000)]] {
+            assert!(
+                matches!(p.with_immediates(&edits), Err(SimError::BadProgram(_))),
+                "{edits:?} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -170,14 +170,6 @@ impl Processor {
         self.ext.as_deref()
     }
 
-    /// Mutable access to the attached extension (for inspection in tests).
-    pub fn extension_mut(&mut self) -> Option<&mut (dyn Extension + '_)> {
-        match self.ext.as_mut() {
-            Some(b) => Some(&mut **b),
-            None => None,
-        }
-    }
-
     /// Enables precise per-address cycle profiling for subsequent runs
     /// (equivalent to [`Self::set_profile_mode`] with
     /// [`ProfileMode::Precise`]).
@@ -208,15 +200,6 @@ impl Processor {
                 self.next_sample = self.cycles + period;
                 self.last_sample = self.cycles;
             }
-        }
-    }
-
-    /// The active profiling mode.
-    pub fn profile_mode(&self) -> ProfileMode {
-        match (&self.profile, self.sample_period) {
-            (None, _) => ProfileMode::Off,
-            (Some(_), None) => ProfileMode::Precise,
-            (Some(_), Some(period)) => ProfileMode::Sampled { period },
         }
     }
 

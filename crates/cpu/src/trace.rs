@@ -65,11 +65,6 @@ impl Trace {
         self.capacity
     }
 
-    /// Total cycles across the retained tail.
-    pub fn retained_cycles(&self) -> u64 {
-        self.entries.iter().map(|e| e.cost).sum()
-    }
-
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()

@@ -253,24 +253,6 @@ impl FaultPlan {
         })
     }
 
-    /// Adds a stuck-at fault.
-    pub fn with_stuck_at(
-        self,
-        target: FaultTarget,
-        cycle: u64,
-        word: u64,
-        bit: u8,
-        value: bool,
-    ) -> Self {
-        self.with(FaultEvent {
-            cycle,
-            target,
-            kind: FaultKind::StuckAt(value),
-            word,
-            bit,
-        })
-    }
-
     /// Adds a dropped DMAC burst.
     pub fn with_dropped_burst(self, cycle: u64) -> Self {
         self.with(FaultEvent {

@@ -277,8 +277,8 @@ impl Serve {
 
     /// The deterministic Prometheus-text exposition of the run's
     /// telemetry. Every value is a simulated-cycle quantity, so the
-    /// text is byte-identical on every host and at every
-    /// `DBX_HOST_THREADS` setting (CI diffs it byte-for-byte).
+    /// text is byte-identical on every host (`tests/telemetry.rs`
+    /// compares it with a committed golden file).
     pub fn metrics(&self) -> String {
         let t = &self.telemetry;
         let st = &self.stats;

@@ -102,11 +102,6 @@ impl LocalMemory {
         self.data.len()
     }
 
-    /// Whether this memory has a second (prefetcher) port.
-    pub fn is_dual_port(&self) -> bool {
-        self.dual_port
-    }
-
     /// True if an access of `len` bytes at `addr` falls inside this region.
     #[inline]
     pub fn contains(&self, addr: u32, len: usize) -> bool {

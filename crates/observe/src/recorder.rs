@@ -149,14 +149,6 @@ impl Observer {
         (obs, sink)
     }
 
-    /// Wraps any recorder implementation.
-    pub fn with_recorder(rec: Rc<RefCell<dyn Recorder>>) -> Self {
-        Observer {
-            sink: Some(rec),
-            track: TrackId::default(),
-        }
-    }
-
     /// Whether recording is on.
     pub fn is_enabled(&self) -> bool {
         self.sink.is_some()

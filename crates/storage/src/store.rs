@@ -98,11 +98,6 @@ impl StoreView {
         self.tables.get(name)
     }
 
-    /// Table names, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
-    }
-
     /// Number of tables.
     pub fn len(&self) -> usize {
         self.tables.len()
@@ -128,11 +123,6 @@ pub struct Txn {
 }
 
 impl Txn {
-    /// The generation this transaction read from.
-    pub fn base_generation(&self) -> u64 {
-        self.base_gen
-    }
-
     /// Number of buffered ops.
     pub fn len(&self) -> usize {
         self.ops.len()

@@ -40,11 +40,6 @@ pub struct AreaReport {
 }
 
 impl AreaReport {
-    /// Total logic gate equivalents.
-    pub fn total_ge(&self) -> f64 {
-        self.components.iter().map(|c| c.ge).sum()
-    }
-
     /// Total area (logic + memory) in mm².
     pub fn total_mm2(&self) -> f64 {
         self.logic_mm2 + self.mem_mm2

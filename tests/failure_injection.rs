@@ -226,3 +226,50 @@ fn a_sort_length_off_a_multiple_of_four_is_a_typed_error() {
         assert!(matches!(e, SimError::BadProgram(_)), "n={n}: {e:?}");
     }
 }
+
+#[test]
+fn a_corrupted_result_cursor_is_a_typed_error() {
+    use dbasip::dbisa::{run_set_op_with, RunOptions};
+    use dbasip::faults::{FaultPlan, FaultTarget};
+    // An upset in the scalar kernel's output cursor (a6) just before it
+    // halts: bit 29 moves the cursor below the result base, bit 31 far
+    // past the result space. Either way the runner must refuse to read
+    // back rather than underflow or reserve gigabytes.
+    let a: Vec<u32> = (0..100).map(|i| 2 * i).collect();
+    let b: Vec<u32> = (0..100).map(|i| 3 * i).collect();
+    let model = ProcModel::Dba1Lsu;
+    let clean = run_set_op(model, SetOpKind::Intersect, &a, &b).unwrap();
+    for bit in [29, 31] {
+        let opts = RunOptions {
+            fault_plan: Some(FaultPlan::new().with_bit_flip(
+                FaultTarget::RegFile,
+                clean.cycles - 2,
+                6,
+                bit,
+            )),
+            ..RunOptions::default()
+        };
+        let e = run_set_op_with(model, SetOpKind::Intersect, &a, &b, &opts).unwrap_err();
+        assert!(
+            matches!(e, SimError::Mem(MemError::OutOfBounds { .. })),
+            "bit {bit}: {e:?}"
+        );
+    }
+    // The EIS kernels count their results in a2 instead.
+    let model = ProcModel::Dba1LsuEis { partial: true };
+    let clean = run_set_op(model, SetOpKind::Intersect, &a, &b).unwrap();
+    let opts = RunOptions {
+        fault_plan: Some(FaultPlan::new().with_bit_flip(
+            FaultTarget::RegFile,
+            clean.cycles - 1,
+            2,
+            31,
+        )),
+        ..RunOptions::default()
+    };
+    let e = run_set_op_with(model, SetOpKind::Intersect, &a, &b, &opts).unwrap_err();
+    assert!(
+        matches!(e, SimError::Mem(MemError::OutOfBounds { .. })),
+        "{e:?}"
+    );
+}

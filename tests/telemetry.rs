@@ -96,6 +96,20 @@ fn the_metrics_exposition_is_byte_deterministic() {
 }
 
 #[test]
+fn the_metrics_exposition_matches_the_committed_golden_files() {
+    // Every exposed value is a simulated-cycle quantity, so the text and
+    // its JSON twin are fixed by the code alone. Regenerate with
+    // `repro serve --metrics > tests/golden/serve_metrics.txt` and
+    // `repro serve --metrics-json > tests/golden/serve_metrics.json`.
+    let s = serve::run(1.0);
+    assert_eq!(s.metrics(), include_str!("golden/serve_metrics.txt"));
+    assert_eq!(
+        format!("{}\n", s.metrics_json()),
+        include_str!("golden/serve_metrics.json")
+    );
+}
+
+#[test]
 fn the_overload_burst_fires_exactly_the_expected_alerts() {
     let s = serve::run(0.25);
     let t = &s.telemetry;
