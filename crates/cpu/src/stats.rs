@@ -123,7 +123,7 @@ impl EventCounters {
 /// Outcome of a completed simulation run. Equality compares every
 /// field — the engine's golden and instrumented-versus-plain suites rely
 /// on this to assert bit-identical stats.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Total simulated cycles.
     pub cycles: u64,

@@ -514,7 +514,16 @@ impl LocalMemory {
     }
 
     /// Reads `n` consecutive `u32`s starting at `addr` (inspection helper).
+    /// A run hanging off the end fails at its first outside word, as
+    /// word-by-word reads would, before anything is reserved for it.
     pub fn read_words(&mut self, addr: u32, n: usize) -> Result<Vec<u32>, MemError> {
+        if n > 0 {
+            let off = self.check(addr, Width::W32)?;
+            let fit = (self.data.len() - off) / 4;
+            if n > fit {
+                self.check(addr + 4 * fit as u32, Width::W32)?;
+            }
+        }
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             out.push(self.read_unmetered(addr + 4 * i as u32, Width::W32)? as u32);
@@ -721,6 +730,31 @@ mod tests {
         assert!(m.faults.is_zero(), "the bulk write re-encoded every word");
         let e = m.load_words(0x6000_0002, &[1]).unwrap_err();
         assert!(matches!(e, MemError::Misaligned { .. }));
+    }
+
+    #[test]
+    fn read_words_off_the_end_fails_at_the_first_outside_word() {
+        let mut m = mem();
+        // A claimed length of 2^31 words must fail before reserving 8 GiB.
+        for n in [3, 1 << 31, usize::MAX] {
+            let e = m.read_words(0x6000_03f8, n).unwrap_err();
+            assert_eq!(
+                e,
+                MemError::OutOfBounds {
+                    addr: 0x6000_0400,
+                    len: 4,
+                    base: 0x6000_0000,
+                    size: 1024,
+                },
+                "n={n}"
+            );
+        }
+        assert_eq!(m.bytes_moved, 0, "nothing was read");
+        assert!(matches!(
+            m.read_words(0x6000_0002, 1 << 31),
+            Err(MemError::Misaligned { .. })
+        ));
+        assert!(m.read_words(0x6000_0400, 0).unwrap().is_empty());
     }
 
     #[test]

@@ -112,8 +112,19 @@ impl SystemMemory {
         Ok(())
     }
 
-    /// Reads `n` consecutive `u32`s starting at `addr`.
+    /// Reads `n` consecutive `u32`s starting at `addr`. A run past the top
+    /// of the 32-bit address space fails, as one access, before anything
+    /// is reserved for it.
     pub fn read_words(&mut self, addr: u32, n: usize) -> Result<Vec<u32>, MemError> {
+        const SPACE: u64 = 1 << 32;
+        if n as u64 > (SPACE - addr as u64) / 4 {
+            return Err(MemError::OutOfBounds {
+                addr,
+                len: n.saturating_mul(4),
+                base: 0,
+                size: SPACE as usize,
+            });
+        }
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             out.push(self.read(addr + 4 * i as u32, Width::W32)? as u32);
@@ -131,6 +142,27 @@ impl SystemMemory {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn read_words_past_the_address_space_fails_before_reserving() {
+        let mut m = SystemMemory::new();
+        for n in [3, 1 << 31, usize::MAX] {
+            let e = m.read_words(0xffff_fff8, n).unwrap_err();
+            assert!(
+                matches!(
+                    e,
+                    MemError::OutOfBounds {
+                        addr: 0xffff_fff8,
+                        base: 0,
+                        ..
+                    }
+                ),
+                "n={n}: {e:?}"
+            );
+        }
+        assert_eq!(m.read_words(0xffff_fff8, 2).unwrap(), vec![0, 0]);
+        assert_eq!(m.bytes_read, 8);
+    }
 
     #[test]
     fn sparse_allocation_on_touch() {

@@ -273,3 +273,26 @@ fn a_corrupted_result_cursor_is_a_typed_error() {
         "{e:?}"
     );
 }
+
+#[test]
+fn a_corrupted_stream_chunk_count_is_a_typed_error() {
+    use dbasip::dbisa::stream::{stream_set_op_with, StreamConfig, StreamOptions};
+    use dbasip::faults::{FaultPlan, FaultTarget};
+    // Bit 31 of the chunk kernel's result count (a2): the readback must
+    // stop at the chunk's 0x1800-byte C slot rather than reserve 8 GiB
+    // and run to the end of DMEM1.
+    let a: Vec<u32> = (0..100).map(|i| 2 * i).collect();
+    let b: Vec<u32> = (0..100).map(|i| 3 * i).collect();
+    let opts = StreamOptions {
+        fault_plan: Some(FaultPlan::new().with_bit_flip(FaultTarget::RegFile, 97, 2, 31)),
+        ..StreamOptions::default()
+    };
+    let e = stream_set_op_with(SetOpKind::Intersect, &a, &b, StreamConfig::default(), &opts)
+        .unwrap_err();
+    match e {
+        SimError::Mem(MemError::OutOfBounds { base, size, .. }) => {
+            assert_eq!((base, size), (0x6800_5000, 0x1800), "chunk 0's C slot");
+        }
+        other => panic!("expected an out-of-bounds readback, got {other:?}"),
+    }
+}
