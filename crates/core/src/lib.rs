@@ -18,9 +18,6 @@
 //!   prefetcher (double buffering).
 //! * [`multicore`] — shared-nothing partitioned execution across many
 //!   cores (the paper's area-equivalence argument).
-//! * [`sched`] — the host-parallel shard scheduler: runs the independent
-//!   sweep points of `repro bench` on a work-stealing pool of host
-//!   threads and returns their results in shard order.
 
 pub mod configs;
 pub mod datapath;
@@ -29,7 +26,6 @@ pub mod multicore;
 pub mod ops;
 pub mod progcache;
 pub mod runner;
-pub mod sched;
 pub mod states;
 pub mod stream;
 
@@ -41,5 +37,4 @@ pub use runner::{
     build_processor, build_processor_with, run_set_op, run_set_op_with, run_sort, run_sort_with,
     run_sum_with, scalar_fallback, set_preflight, sum_cap, KernelRun, RecoveryPolicy, RunOptions,
 };
-pub use sched::{run_indexed, HostSched};
 pub use states::SENTINEL;

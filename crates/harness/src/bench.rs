@@ -18,22 +18,20 @@
 //!
 //! * a per-figure throughput table plus the headline ratios (the human
 //!   report),
-//! * the keyed-metric [`Snapshot`] (`--json`) that CI gates against the
-//!   committed `BENCH_perf.json` baseline (`--check`),
+//! * the keyed-metric [`Snapshot`] (`--json`) that CI diffs against the
+//!   committed `BENCH_perf.json` baseline,
 //! * folded stacks (`figure;kernel;model@x cycles`) for flamegraph
 //!   tools (`--folded`).
 //!
-//! Every sweep point is an independent simulation, so the suite fans out
-//! over the host shard scheduler ([`HostSched`]); results are collected
-//! in point order and contain only simulated cycles and constants derived
-//! from them at the synthesis model's fMAX — the snapshot is bit-identical
-//! for any `--threads` value and any machine. Host wall clock is the
+//! The points run in order on the calling thread and hold only simulated
+//! cycles and constants derived from them at the synthesis model's fMAX,
+//! so the snapshot is bit-identical on any machine. Host wall clock is the
 //! benchmark's concern (`examples/benchmark`), not this suite's.
 
 use crate::report::{f1, TextTable};
 use crate::scaled;
 use dbx_core::multicore::multicore_set_op_with;
-use dbx_core::{run_indexed, run_partition, HostSched, ProcModel, RunOptions, SetOpKind};
+use dbx_core::{run_partition, ProcModel, RunOptions, SetOpKind};
 use dbx_observe::snapshot::q6;
 use dbx_observe::{Better, FoldedStacks, Snapshot};
 use dbx_synth::{fmax_mhz, Tech};
@@ -272,7 +270,7 @@ fn build_specs(scale: f64) -> Vec<Spec> {
 }
 
 /// Simulates one sweep coordinate. Cycle counts are deterministic for the
-/// pinned seed, so this is safe to run on any host thread.
+/// pinned seed.
 fn run_spec(spec: &Spec) -> PerfPoint {
     let tech = Tech::tsmc65lp();
     match *spec {
@@ -323,8 +321,6 @@ fn run_spec(spec: &Spec) -> PerfPoint {
             cores,
         } => {
             let (a, b) = set_pair_with_selectivity(n, n, 0.5, SUITE_SEED);
-            // The point itself is one shard of the outer fan-out; the
-            // simulated cores within it run sequentially.
             let mc = multicore_set_op_with(model, kind, &a, &b, cores, &RunOptions::default())
                 .expect("bench cores point");
             let elements = (a.len() + b.len()) as u64;
@@ -344,15 +340,14 @@ fn run_spec(spec: &Spec) -> PerfPoint {
     }
 }
 
-/// Runs the suite at a workload scale on the given host scheduler.
-/// `scale = 1.0` is the committed-baseline configuration (the only one
-/// `--check` can compare).
-pub fn run(scale: f64, sched: HostSched) -> Suite {
-    let specs = build_specs(scale);
-    let mut points = run_indexed(sched, specs.len(), |i| run_spec(&specs[i]));
+/// Runs the suite at a workload scale. `scale = 1.0` is the
+/// committed-baseline configuration (the only one `BENCH_perf.json`
+/// matches).
+pub fn run(scale: f64) -> Suite {
+    let mut points: Vec<PerfPoint> = build_specs(scale).iter().map(run_spec).collect();
 
     // Speedup-vs-cores is relative to the 1-core makespan of the same
-    // figure (computed after the fan-out — it needs two points at once).
+    // figure (computed after the sweep — it needs two points at once).
     let one_core = points
         .iter()
         .find(|p| p.figure == "cores" && p.x == 1.0)
@@ -401,39 +396,13 @@ pub fn run(scale: f64, sched: HostSched) -> Suite {
     }
 }
 
-/// Parses a `--threads` flag value into a host scheduler: `0`/`auto`
-/// means all host cores, `1` the sequential path, `n` pins the worker
-/// count. An absent flag falls back to `DBX_HOST_THREADS`, parsed by the
-/// same rules, and both absent means sequential. Anything else is an
-/// error naming the value and where it came from.
-pub fn sched_from_flag(threads: Option<&str>) -> Result<HostSched, String> {
-    match threads {
-        Some(v) => parse_threads("--threads", v),
-        None => match std::env::var("DBX_HOST_THREADS") {
-            Ok(v) => parse_threads("DBX_HOST_THREADS", &v),
-            Err(_) => Ok(HostSched::Sequential),
-        },
-    }
-}
-
-fn parse_threads(source: &str, v: &str) -> Result<HostSched, String> {
-    match v {
-        "auto" | "0" => Ok(HostSched::Parallel { threads: 0 }),
-        n => match n.parse::<usize>() {
-            Ok(1) => Ok(HostSched::Sequential),
-            Ok(n) => Ok(HostSched::Parallel { threads: n }),
-            Err(_) => Err(format!("{source} takes a count or `auto`, got {v:?}")),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn suite_covers_every_figure_and_ratio() {
-        let suite = run(0.02, HostSched::Sequential);
+        let suite = run(0.02);
         let text = suite.render();
         for figure in ["selectivity", "size", "sort", "cores"] {
             assert!(
@@ -458,7 +427,7 @@ mod tests {
 
     #[test]
     fn folded_totals_match_the_points() {
-        let suite = run(0.02, HostSched::Sequential);
+        let suite = run(0.02);
         let total: u64 = suite.points.iter().map(|p| p.cycles).sum();
         assert_eq!(suite.folded().total_cycles(), total);
     }
@@ -467,23 +436,11 @@ mod tests {
     fn paper_scale_ratios_land_in_the_published_regime() {
         // Scale 0.2 keeps the suite quick while the EIS throughput stays
         // in the published ballpark (same cycle model, same fMAX model).
-        let sched = sched_from_flag(None).expect("DBX_HOST_THREADS parses");
-        let suite = run(0.2, sched);
+        let suite = run(0.2);
         let hwset = suite.ratio("hwset_vs_swset_published").unwrap();
         assert!(
             (0.8..1.5).contains(&hwset),
             "hwset/swset ratio {hwset} out of regime"
         );
-    }
-
-    #[test]
-    fn threads_flag_maps_onto_the_scheduler() {
-        let sched = |v| parse_threads("--threads", v);
-        assert_eq!(sched("1"), Ok(HostSched::Sequential));
-        assert_eq!(sched("4"), Ok(HostSched::Parallel { threads: 4 }));
-        assert_eq!(sched("auto"), Ok(HostSched::Parallel { threads: 0 }));
-        assert_eq!(sched("0"), Ok(HostSched::Parallel { threads: 0 }));
-        assert!(sched("abc").is_err());
-        assert!(sched("-2").is_err());
     }
 }

@@ -5,8 +5,8 @@
 //! repro fig13       Figure 13 (selectivity sweep; add --csv for data)
 //! repro table3      Table 3  (synthesis: area / fMAX / power)
 //! repro table4      Table 4  (relative area per component)
-//! repro table5      Table 5  (merge-sort vs swsort/Q9550)
-//! repro table6      Table 6  (intersection vs swset/i7-920)
+//! repro table5      Table 5  (simulated merge-sort vs published swsort/Q9550)
+//! repro table6      Table 6  (simulated intersection vs published swset/i7-920)
 //! repro stream      Section 5.2 (prefetcher / constant throughput)
 //! repro pipeline    Section 4  (cycles per iteration vs unroll)
 //! repro scaling     Section 5.4 (multi-core area equivalence)
@@ -41,11 +41,6 @@
 //!
 //! bench options:
 //!          --scale <f>         workload scale (default 1.0; overrides --quick)
-//!          --threads <n|auto>  host worker threads for the sweep fan-out:
-//!                              1 is sequential, 0 or auto one per host
-//!                              core (default: DBX_HOST_THREADS, parsed by
-//!                              the same rules, else sequential); the
-//!                              snapshot is the same for every value
 //!          --json              print the perf snapshot JSON
 //!          --folded <path>     write folded stacks for flamegraph tools
 //!          --check <baseline>  gate against a committed BENCH_perf.json
@@ -77,8 +72,12 @@
 //! (the DSE frontier's best speedup) by a drop of more than 3%, `exact`
 //! metrics (scale, serve admission counters, the rediscovered SOP/ST_S/
 //! bundle shapes) on any change, or a gated key present on one side
-//! only. A flag with a missing or malformed value exits 2; an unreadable
-//! or malformed file exits 1.
+//! only. An unknown flag, or a flag with a missing or malformed value,
+//! exits 2; an unreadable or malformed file exits 1.
+//!
+//! Every artifact is in the simulated-cycle domain (Tables 5 and 6 set
+//! the simulated DBA beside the *published* x86 numbers), so two runs of
+//! `repro all` print the same bytes.
 //! ```
 
 use dbx_harness::{
@@ -88,8 +87,32 @@ use dbx_harness::{
 use dbx_observe::snapshot::{compare, render_diff, Snapshot};
 use std::str::FromStr;
 
+/// Every flag `repro` reads; any other `--` argument is a usage error.
+const FLAGS: &[&str] = &[
+    "--quick",
+    "--csv",
+    "--op=union",
+    "--op=diff",
+    "--json",
+    "--perfetto",
+    "--folded",
+    "--top",
+    "--check",
+    "--scale",
+    "--metrics",
+    "--metrics-json",
+    "--top-tail",
+    "--profiled",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        usage_error(&format!("unknown flag {flag}; flags: {}", FLAGS.join(" ")));
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let csv = args.iter().any(|a| a == "--csv");
     let cmd = args
@@ -336,11 +359,9 @@ fn run_dse(args: &[String]) {
 
 fn run_bench(args: &[String], scale: f64) {
     let scale = scale_flag(args, scale);
-    let threads = flag_value::<String>(args, "--threads");
-    let sched = bench::sched_from_flag(threads.as_deref()).unwrap_or_else(|e| usage_error(&e));
     let folded = flag_value::<String>(args, "--folded");
     let baseline = check_baseline(args);
-    let suite = bench::run(scale, sched);
+    let suite = bench::run(scale);
     let snapshot = suite.snapshot();
 
     if let Some(path) = folded {

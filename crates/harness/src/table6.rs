@@ -3,15 +3,15 @@
 //!
 //! The paper's headline: `hwset` throughput is 9.4 % *higher* than the
 //! published `swset` number while the processor draws "up to 960x" less
-//! power than the i7-920's TDP.
+//! power than the i7-920's TDP. As in Table 5, the x86 column is the
+//! published constants and only the DBA column is simulated.
 
-use crate::report::{f1, TextTable};
-use crate::table5::Platform;
+use crate::report::f1;
+use crate::table5::{render_comparison, Platform};
 use crate::{scaled, SEED};
 use dbx_core::{run_set_op, ProcModel, SetOpKind};
 use dbx_synth::{fmax_mhz, power_report, Tech};
 use dbx_workloads::set_pair_with_selectivity;
-use std::time::Instant;
 
 /// The experiment result.
 #[derive(Debug, Clone)]
@@ -22,16 +22,12 @@ pub struct Table6 {
     pub paper_dba: Platform,
     /// Our simulated hwset throughput at the model fMAX (M elements/s).
     pub measured_hwset: f64,
-    /// Our swset implementation measured on the build host.
-    pub measured_swset_host: f64,
     /// Our model's DBA power (W).
     pub model_dba_power_w: f64,
     /// Energy ratio: x86 TDP / DBA model power.
     pub energy_ratio: f64,
     /// Elements per set in the simulation.
     pub hw_n: usize,
-    /// Elements per set on the host.
-    pub sw_n: usize,
 }
 
 /// Paper Table 6 constants (see [`dbx_x86ref::published`]).
@@ -59,36 +55,16 @@ pub fn paper_platforms() -> (Platform, Platform) {
     )
 }
 
-/// Measures host swset throughput (median of `reps`), in M elements/s
-/// over `l_a + l_b`.
-fn host_swset_meps(n: usize, reps: usize) -> f64 {
-    let (a, b) = set_pair_with_selectivity(n, n, 0.5, SEED);
-    let times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            let out = dbx_x86ref::swset::intersect(&a, &b);
-            let dt = t0.elapsed().as_secs_f64();
-            assert!(!out.is_empty());
-            std::hint::black_box(out);
-            dt
-        })
-        .collect();
-    let median = dbx_observe::telemetry::median(&times).expect("reps must be positive");
-    (2 * n) as f64 / median / 1.0e6
-}
-
-/// Runs the comparison. `scale = 1.0` intersects 2x2500 on the ASIP and
-/// 2x10M on the host (the paper's respective sizes), both at 50 %.
+/// Runs the comparison. `scale = 1.0` intersects 2x2500 on the ASIP at
+/// 50 % selectivity, the paper's size.
 pub fn run(scale: f64) -> Table6 {
     let model = ProcModel::Dba2LsuEis { partial: true };
     let tech = Tech::tsmc65lp();
     let hw_n = scaled(2500, scale);
-    let sw_n = scaled(10_000_000, scale);
 
     let (a, b) = set_pair_with_selectivity(hw_n, hw_n, 0.5, SEED);
     let hw = run_set_op(model, SetOpKind::Intersect, &a, &b).expect("hwset");
     let measured_hwset = hw.throughput_meps(2 * hw_n as u64, fmax_mhz(model, &tech));
-    let measured_swset_host = host_swset_meps(sw_n, 3);
 
     let (paper_x86, paper_dba) = paper_platforms();
     let model_dba_power_w = power_report(model, tech).total_mw() / 1000.0;
@@ -97,62 +73,22 @@ pub fn run(scale: f64) -> Table6 {
         paper_x86,
         paper_dba,
         measured_hwset,
-        measured_swset_host,
         model_dba_power_w,
         hw_n,
-        sw_n,
     }
 }
 
 impl Table6 {
     /// Renders the comparison.
     pub fn render(&self) -> String {
-        let mut t = TextTable::new(["", "Intel i7-920", "DBA_2LSU_EIS"]);
-        t.row([
-            "Throughput (M elements/s, paper)".to_string(),
-            f1(self.paper_x86.throughput_meps),
-            f1(self.paper_dba.throughput_meps),
-        ]);
-        t.row([
-            "Throughput (M elements/s, ours)".to_string(),
-            format!(
-                "{} (host swset, 2x{})",
-                f1(self.measured_swset_host),
-                self.sw_n
-            ),
+        render_comparison(
+            "Table 6 — sorted-set intersection comparison",
+            &self.paper_x86,
+            &self.paper_dba,
             format!("{} (simulated, 2x{})", f1(self.measured_hwset), self.hw_n),
-        ]);
-        t.row([
-            "Clock frequency".to_string(),
-            format!("{:.2} GHz", self.paper_x86.clock_ghz),
-            format!("{:.2} GHz", self.paper_dba.clock_ghz),
-        ]);
-        t.row([
-            "Max. TDP".to_string(),
-            format!("{} W", self.paper_x86.tdp_w),
-            format!(
-                "{} W (model: {:.3} W)",
-                self.paper_dba.tdp_w, self.model_dba_power_w
-            ),
-        ]);
-        t.row([
-            "Cores/Threads".to_string(),
-            self.paper_x86.cores_threads.to_string(),
-            self.paper_dba.cores_threads.to_string(),
-        ]);
-        t.row([
-            "Feature size".to_string(),
-            format!("{} nm", self.paper_x86.feature_nm),
-            format!("{} nm", self.paper_dba.feature_nm),
-        ]);
-        t.row([
-            "Area (logic & memory)".to_string(),
-            format!("{} mm2", self.paper_x86.area_mm2),
-            format!("{} mm2", self.paper_dba.area_mm2),
-        ]);
-        format!(
-            "Table 6 — sorted-set intersection comparison\n{}\nenergy headline: {:.0}x less power than the i7-920 TDP\n",
-            t.render(),
+            self.model_dba_power_w,
+        ) + &format!(
+            "energy headline: {:.0}x less power than the i7-920 TDP\n",
             self.energy_ratio
         )
     }
@@ -175,28 +111,5 @@ mod tests {
         // The 960x energy headline.
         assert!(t.energy_ratio > 900.0, "energy ratio {}", t.energy_ratio);
         assert!(t.render().contains("Table 6"));
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "host wall-clock comparison is only meaningful optimized"
-    )]
-    fn host_swset_beats_scalar_intersection() {
-        let n = 1_000_000;
-        let (a, b) = set_pair_with_selectivity(n, n, 0.5, SEED);
-        let t0 = Instant::now();
-        let r1 = dbx_x86ref::swset::intersect(&a, &b);
-        let block = t0.elapsed();
-        let t0 = Instant::now();
-        let r2 = dbx_x86ref::scalar::intersect(&a, &b);
-        let scalar = t0.elapsed();
-        assert_eq!(r1, r2);
-        // Block intersection advances four elements at a time; it should
-        // not lose badly to the scalar loop even unvectorized.
-        assert!(
-            block.as_secs_f64() < 1.6 * scalar.as_secs_f64(),
-            "block {block:?} vs scalar {scalar:?}"
-        );
     }
 }

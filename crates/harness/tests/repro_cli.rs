@@ -1,5 +1,5 @@
-//! The `repro` command line: malformed flags exit 2 with a message
-//! instead of being ignored or panicking, unreadable files exit 1 naming
+//! The `repro` command line: unknown or malformed flags exit 2 with a
+//! message instead of being ignored or panicking, unreadable files exit 1 naming
 //! the path, and `repro diff` / `--check` gate the committed snapshots.
 
 use std::process::{Command, Output};
@@ -43,22 +43,16 @@ fn an_unparsable_scale_is_a_usage_error() {
 }
 
 #[test]
-fn an_unparsable_thread_count_is_a_usage_error() {
-    let err = exits(2, &["bench", "--threads", "abc"]);
-    assert!(err.contains("abc"), "{err}");
-    // The environment fallback is parsed by the flag's rules.
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["bench", "--scale", "0.01"])
-        .env("DBX_HOST_THREADS", "abc")
-        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-        .output()
-        .expect("run repro");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{err}");
-    assert!(
-        err.contains("DBX_HOST_THREADS") && err.contains("abc"),
-        "{err}"
-    );
+fn an_unknown_flag_is_a_usage_error() {
+    // A misspelt or retired flag must not be ignored: `--chek` would
+    // otherwise exit 0 without gating anything.
+    for (args, flag) in [
+        (&["bench", "--threads", "2"][..], "--threads"),
+        (&["dse", "--chek", "DSE_baseline.json"][..], "--chek"),
+    ] {
+        let err = exits(2, args);
+        assert!(err.contains(flag), "{err}");
+    }
 }
 
 #[test]

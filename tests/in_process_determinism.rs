@@ -5,8 +5,7 @@
 //! here as a byte difference even when every fresh process agrees with
 //! the committed baselines.
 
-use dbasip::dbisa::HostSched;
-use dbasip::harness::{bench, dse, observe, serve};
+use dbasip::harness::{bench, dse, observe, serve, table5, table6};
 
 /// Serve snapshot JSON plus its Prometheus-text and JSON expositions.
 fn serve_bytes() -> String {
@@ -19,9 +18,13 @@ fn observe_bytes() -> String {
 }
 
 fn bench_bytes() -> String {
-    bench::run(0.1, HostSched::Sequential)
-        .snapshot()
-        .to_string()
+    bench::run(0.1).snapshot().to_string()
+}
+
+/// Tables 5 and 6 as `repro` prints them: published x86 constants beside
+/// simulated DBA throughput, no host clock.
+fn tables_bytes() -> String {
+    table5::run(0.1).render() + &table6::run(0.1).render()
 }
 
 fn dse_bytes() -> String {
@@ -34,9 +37,11 @@ fn repeated_snapshots_are_byte_identical_in_one_process() {
     let observe_first = observe_bytes();
     let bench_first = bench_bytes();
     let dse_first = dse_bytes();
-    // Varied order: serve, dse, observe, bench, serve, bench, dse,
-    // observe.
+    let tables_first = tables_bytes();
+    // Varied order: serve, tables, dse, observe, bench, tables, serve,
+    // bench, dse, observe.
     assert_eq!(serve_bytes(), serve_first, "second serve run diverged");
+    assert_eq!(tables_bytes(), tables_first, "second tables run diverged");
     assert_eq!(dse_bytes(), dse_first, "second dse run diverged");
     assert_eq!(
         observe_bytes(),
@@ -44,6 +49,7 @@ fn repeated_snapshots_are_byte_identical_in_one_process() {
         "second observe run diverged"
     );
     assert_eq!(bench_bytes(), bench_first, "second bench run diverged");
+    assert_eq!(tables_bytes(), tables_first, "third tables run diverged");
     assert_eq!(serve_bytes(), serve_first, "third serve run diverged");
     assert_eq!(bench_bytes(), bench_first, "third bench run diverged");
     assert_eq!(dse_bytes(), dse_first, "third dse run diverged");
