@@ -55,38 +55,6 @@ pub const SORT4_COMPARATORS: usize = 5;
 /// Comparators in the 8-element bitonic merge network (3 stages x 4).
 pub const MERGE8_COMPARATORS: usize = 12;
 
-/// Result of the 4x4 all-to-all comparison: equality and less-than
-/// matrices as bitmasks. Bit `i*4 + j` relates `a[i]` to `b[j]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompareMatrix {
-    /// Equality bits.
-    pub eq: u16,
-    /// `a[i] < b[j]` bits.
-    pub lt: u16,
-}
-
-/// Performs the all-to-all comparison of two 4-element windows.
-/// Invalid lanes (index >= count) must be pre-filled with the sentinel by
-/// the caller; the matrix covers all 16 pairs regardless.
-#[allow(clippy::needless_range_loop)] // index form mirrors the comparator grid
-#[inline]
-pub fn all_to_all(a: &[u32; 4], b: &[u32; 4]) -> CompareMatrix {
-    let mut eq = 0u16;
-    let mut lt = 0u16;
-    for i in 0..4 {
-        for j in 0..4 {
-            let bit = 1u16 << (i * 4 + j);
-            if a[i] == b[j] {
-                eq |= bit;
-            }
-            if a[i] < b[j] {
-                lt |= bit;
-            }
-        }
-    }
-    CompareMatrix { eq, lt }
-}
-
 /// Sorts four values with the optimal 5-comparator sorting network
 /// (the circuit behind the presort load instruction).
 #[inline]
@@ -353,49 +321,66 @@ pub struct SopOutcome {
     pub consume_b: usize,
     /// Values emitted to the Result states, in sorted order (<= 8).
     pub emit: ResultStates,
-    /// Updated emitted flags for the *unretired* suffix of window A, still
-    /// indexed by the pre-shift window positions.
-    pub emitted_a: [bool; 4],
+    /// Updated emitted lane mask (bit `i` for lane `i`) of window A,
+    /// still indexed by the pre-shift window positions.
+    pub emitted_a: u8,
     /// Same for window B.
-    pub emitted_b: [bool; 4],
+    pub emitted_b: u8,
 }
 
 /// Lane mask (bit `i` = lane `i`) of the window lanes that are `<= x`.
 #[inline]
 fn lanes_le(w: &[u32; 4], x: u32) -> u8 {
-    w.iter()
-        .enumerate()
-        .fold(0, |m, (i, &v)| m | ((v <= x) as u8) << i)
+    (w[0] <= x) as u8
+        | ((w[1] <= x) as u8) << 1
+        | ((w[2] <= x) as u8) << 2
+        | ((w[3] <= x) as u8) << 3
 }
 
-/// Lane mask of a per-lane flag array.
+/// Lane mask of the window lanes equal to `x`: one row of the all-to-all
+/// equality matrix.
 #[inline]
-fn flag_mask(f: &[bool; 4]) -> u8 {
-    f.iter()
-        .enumerate()
-        .fold(0, |m, (i, &b)| m | (b as u8) << i)
+fn lanes_eq(w: &[u32; 4], x: u32) -> u8 {
+    (w[0] == x) as u8
+        | ((w[1] == x) as u8) << 1
+        | ((w[2] == x) as u8) << 2
+        | ((w[3] == x) as u8) << 3
 }
 
-/// Per-lane flags of a lane mask.
+/// For each 4-bit lane mask, the source lane of every output position
+/// when the selected lanes are packed to the front; 4 selects the
+/// sentinel.
+const COMPACT: [[u8; 4]; 16] = {
+    let mut t = [[4u8; 4]; 16];
+    let mut m = 0;
+    while m < 16 {
+        let (mut i, mut n) = (0, 0);
+        while i < 4 {
+            if m >> i & 1 != 0 {
+                t[m][n] = i as u8;
+                n += 1;
+            }
+            i += 1;
+        }
+        m += 1;
+    }
+    t
+};
+
+/// Number of lanes set in a 4-bit lane mask (a table load: the baseline
+/// x86-64 target has no `popcnt`).
 #[inline]
-fn mask_flags(m: u8) -> [bool; 4] {
-    [m & 1 != 0, m & 2 != 0, m & 4 != 0, m & 8 != 0]
+fn ones(mask: u8) -> usize {
+    const ONES: [u8; 16] = [0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4];
+    ONES[(mask & 15) as usize] as usize
 }
 
 /// The lanes of `w` selected by `mask`, front-aligned in lane order, with
-/// the sentinel behind them. Every lane is written at the running count,
-/// which only advances on a selected lane — no data-dependent branch.
+/// the sentinel behind them: one table lookup, no data-dependent branch.
 #[inline]
 fn compact(w: &[u32; 4], mask: u8) -> [u32; 4] {
-    let mut out = [SENTINEL; 4];
-    let mut n = 0;
-    for (i, &v) in w.iter().enumerate() {
-        let keep = mask >> i & 1 != 0;
-        // `n <= i < 4`; the `& 3` only restates that bound.
-        out[n & 3] = if keep { v } else { SENTINEL };
-        n += keep as usize;
-    }
-    out
+    let src = [w[0], w[1], w[2], w[3], SENTINEL];
+    COMPACT[(mask & 15) as usize].map(|i| src[i as usize])
 }
 
 /// Evaluates one sorted-set `SOP` over two windows.
@@ -403,8 +388,8 @@ fn compact(w: &[u32; 4], mask: u8) -> [u32; 4] {
 /// * `wa`, `va`: window A values (front-aligned) and its valid count;
 ///   lanes `>= va` are ignored. Values must be strictly increasing and
 ///   below [`SENTINEL`].
-/// * `emitted_a` marks A lanes already emitted by a previous `SOP` in
-///   full-window-retirement mode.
+/// * `emitted_a` is the lane mask of A lanes already emitted by a
+///   previous `SOP` in full-window-retirement mode.
 /// * `partial`: with partial loading the windows retire by the comparison
 ///   boundary (`LD_P` refills them); without it only fully-covered windows
 ///   retire (the window whose max is the boundary).
@@ -412,57 +397,57 @@ fn compact(w: &[u32; 4], mask: u8) -> [u32; 4] {
 /// Every decision is a lane mask computed from the all-to-all comparison:
 /// candidates (valid, `<=` the boundary, not yet emitted), matches (equal
 /// to a valid lane of the other window), and retirement (the leading lanes
-/// `<=` the other window's max). Union emission merges the two compacted
-/// candidate vectors with the bitonic [`merge8`] network, after dropping
-/// the B candidates that duplicate an A candidate.
+/// `<=` the other window's max). Only the equality rows of A candidates
+/// are read, so only those are computed. Union emission merges the two
+/// compacted candidate vectors with the bitonic [`merge8`] network, after
+/// dropping the B candidates that duplicate an A candidate.
 ///
 /// Both windows must be non-empty; the instruction no-ops otherwise (the
 /// caller checks).
 #[allow(clippy::too_many_arguments)] // mirrors the instruction's operand list
+#[inline]
 pub fn sop_set(
     kind: SetOpKind,
     wa: &[u32; 4],
     va: usize,
-    emitted_a: &[bool; 4],
+    emitted_a: u8,
     wb: &[u32; 4],
     vb: usize,
-    emitted_b: &[bool; 4],
+    emitted_b: u8,
     partial: bool,
 ) -> SopOutcome {
     debug_assert!((1..=4).contains(&va) && (1..=4).contains(&vb));
     let amax = wa[va - 1];
     let bmax = wb[vb - 1];
     let boundary = amax.min(bmax);
-    let eq = all_to_all(wa, wb).eq;
     let valid_a = (1u8 << va) - 1;
     let valid_b = (1u8 << vb) - 1;
-    let (ea, eb) = (flag_mask(emitted_a), flag_mask(emitted_b));
-    let cand_a = valid_a & lanes_le(wa, boundary) & !ea;
-    let cand_b = valid_b & lanes_le(wb, boundary) & !eb;
+    let cand_a = valid_a & lanes_le(wa, boundary) & !emitted_a;
+    let cand_b = valid_b & lanes_le(wb, boundary) & !emitted_b;
 
-    // Row `i` of the equality matrix, restricted to valid B lanes: A lane
-    // `i` matches when it is non-zero; the B lanes it covers duplicate an
-    // A candidate when lane `i` is one.
+    // Row `i` of the equality matrix, restricted to valid B lanes, for
+    // each A candidate `i`: the candidate matches when the row is
+    // non-zero, and the B lanes it covers duplicate it.
     let mut match_a = 0u8;
     let mut dup_b = 0u8;
-    for i in 0..4 {
-        let row = (eq >> (4 * i)) as u8 & valid_b;
+    for (i, &x) in wa.iter().enumerate() {
+        let row = lanes_eq(wb, x) & valid_b & 0u8.wrapping_sub(cand_a >> i & 1);
         match_a |= ((row != 0) as u8) << i;
-        dup_b |= row & 0u8.wrapping_sub(cand_a >> i & 1);
+        dup_b |= row;
     }
 
     let emit = match kind {
         SetOpKind::Intersect => {
-            let m = cand_a & match_a;
-            ResultStates::from_beat(compact(wa, m), m.count_ones() as usize)
+            let m = match_a;
+            ResultStates::from_beat(compact(wa, m), ones(m))
         }
         SetOpKind::Difference => {
             let m = cand_a & !match_a;
-            ResultStates::from_beat(compact(wa, m), m.count_ones() as usize)
+            ResultStates::from_beat(compact(wa, m), ones(m))
         }
         SetOpKind::Union => {
             let mb = cand_b & !dup_b;
-            let n = (cand_a.count_ones() + mb.count_ones()) as usize;
+            let n = ones(cand_a) + ones(mb);
             ResultStates::new(merge8(compact(wa, cand_a), compact(wb, mb)), n)
         }
     };
@@ -487,25 +472,14 @@ pub fn sop_set(
         consume_a,
         consume_b,
         emit,
-        emitted_a: mask_flags(ea | cand_a),
-        emitted_b: mask_flags(eb | cand_b),
+        emitted_a: emitted_a | cand_a,
+        emitted_b: emitted_b | cand_b,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_to_all_flags_pairs() {
-        let m = all_to_all(&[1, 2, 3, 4], &[2, 4, 6, 8]);
-        // a[1] == b[0] -> bit 1*4+0; a[3] == b[1] -> bit 3*4+1.
-        assert_ne!(m.eq & (1 << 4), 0);
-        assert_ne!(m.eq & (1 << 13), 0);
-        assert_eq!(m.eq.count_ones(), 2);
-        // a[0]=1 < all b -> bits 0..4 set in lt.
-        assert_eq!(m.lt & 0xf, 0xf);
-    }
 
     #[test]
     fn sort4_all_permutations() {
@@ -548,10 +522,6 @@ mod tests {
         }
     }
 
-    fn no_flags() -> [bool; 4] {
-        [false; 4]
-    }
-
     #[test]
     fn intersect_partial_emits_matches_and_retires_by_boundary() {
         // A: 1 3 5 9, B: 3 4 5 6 -> matches {3,5}; amax=9 > bmax=6.
@@ -559,10 +529,10 @@ mod tests {
             SetOpKind::Intersect,
             &[1, 3, 5, 9],
             4,
-            &no_flags(),
+            0,
             &[3, 4, 5, 6],
             4,
-            &no_flags(),
+            0,
             true,
         );
         assert_eq!(out.emit[..], [3, 5]);
@@ -576,10 +546,10 @@ mod tests {
             SetOpKind::Intersect,
             &[1, 3, 5, 9],
             4,
-            &no_flags(),
+            0,
             &[3, 4, 5, 6],
             4,
-            &no_flags(),
+            0,
             false,
         );
         assert_eq!(out.emit[..], [3, 5]);
@@ -589,7 +559,7 @@ mod tests {
             "B owns the boundary"
         );
         // A lanes 3 and 5 are now marked emitted for the next SOP.
-        assert_eq!(out.emitted_a, [true, true, true, false]);
+        assert_eq!(out.emitted_a, 0b0111);
     }
 
     #[test]
@@ -599,10 +569,10 @@ mod tests {
             SetOpKind::Intersect,
             &[1, 3, 5, 9],
             4,
-            &[true, true, true, false],
+            0b0111,
             &[7, 8, 10, 11],
             4,
-            &no_flags(),
+            0,
             true,
         );
         // 9 matches nothing; no duplicates of 3/5.
@@ -615,10 +585,10 @@ mod tests {
             SetOpKind::Intersect,
             &[1, 2, 3, 8],
             4,
-            &no_flags(),
+            0,
             &[2, 5, 6, 8],
             4,
-            &no_flags(),
+            0,
             false,
         );
         assert_eq!(out.emit[..], [2, 8]);
@@ -631,10 +601,10 @@ mod tests {
             SetOpKind::Union,
             &[1, 3, 5, 9],
             4,
-            &no_flags(),
+            0,
             &[3, 4, 5, 6],
             4,
-            &no_flags(),
+            0,
             true,
         );
         // boundary = 6: candidates A {1,3,5}, B {3,4,5,6}.
@@ -647,10 +617,10 @@ mod tests {
             SetOpKind::Union,
             &[1, 2, 3, 4],
             4,
-            &no_flags(),
+            0,
             &[5, 6, 7, 4],
             3, // careful: window is 5,6,7 valid
-            &no_flags(),
+            0,
             true,
         );
         // boundary = min(4,7)=4: candidates A all, B none.
@@ -660,10 +630,10 @@ mod tests {
             SetOpKind::Union,
             &[1, 3, 5, 7],
             4,
-            &no_flags(),
+            0,
             &[2, 4, 6, 7],
             4,
-            &no_flags(),
+            0,
             true,
         );
         assert_eq!(out.emit[..], [1, 2, 3, 4, 5, 6, 7]);
@@ -676,10 +646,10 @@ mod tests {
             SetOpKind::Difference,
             &[1, 3, 5, 9],
             4,
-            &no_flags(),
+            0,
             &[3, 4, 5, 6],
             4,
-            &no_flags(),
+            0,
             true,
         );
         assert_eq!(out.emit[..], [1], "3 and 5 match; 9 beyond boundary");
@@ -693,10 +663,10 @@ mod tests {
             SetOpKind::Intersect,
             &[10, 20, 30, 40],
             4,
-            &no_flags(),
+            0,
             &[20, 25, 0, 0],
             2,
-            &no_flags(),
+            0,
             true,
         );
         assert_eq!(out.emit[..], [20]);
@@ -760,12 +730,13 @@ mod tests {
             SetOpKind::Difference,
         ] {
             for partial in [false, true] {
-                let fixed = sop_set(kind, &wa, 4, &[false; 4], &wb, 4, &[false; 4], partial);
+                let fixed = sop_set(kind, &wa, 4, 0, &wb, 4, 0, partial);
                 let gen = sop_set_n(kind, &wa, 4, &[false; 4], &wb, 4, &[false; 4], partial);
                 assert_eq!(fixed.emit[..], gen.emit[..], "{kind:?} {partial}");
                 assert_eq!(fixed.consume_a, gen.consume_a);
                 assert_eq!(fixed.consume_b, gen.consume_b);
-                assert_eq!(fixed.emitted_a.to_vec(), gen.emitted_a);
+                let flags: Vec<bool> = (0..4).map(|i| fixed.emitted_a >> i & 1 != 0).collect();
+                assert_eq!(flags, gen.emitted_a);
             }
         }
     }
@@ -823,8 +794,7 @@ mod tests {
     fn run_windowed(kind: SetOpKind, a: &[u32], b: &[u32], partial: bool) -> Vec<u32> {
         let mut out = Vec::new();
         let (mut pa, mut pb) = (0usize, 0usize);
-        let mut ea = [false; 4];
-        let mut eb = [false; 4];
+        let (mut ea, mut eb) = (0u8, 0u8);
         loop {
             let va = (a.len() - pa).min(4);
             let vb = (b.len() - pb).min(4);
@@ -835,21 +805,13 @@ mod tests {
             let mut wb = [u32::MAX; 4];
             wa[..va].copy_from_slice(&a[pa..pa + va]);
             wb[..vb].copy_from_slice(&b[pb..pb + vb]);
-            let o = sop_set(kind, &wa, va, &ea, &wb, vb, &eb, partial);
+            let o = sop_set(kind, &wa, va, ea, &wb, vb, eb, partial);
             out.extend_from_slice(&o.emit);
             pa += o.consume_a;
             pb += o.consume_b;
             // Shift emitted flags like LD_P shifts the windows.
-            let mut nea = [false; 4];
-            let mut neb = [false; 4];
-            for i in o.consume_a..va {
-                nea[i - o.consume_a] = o.emitted_a[i];
-            }
-            for j in o.consume_b..vb {
-                neb[j - o.consume_b] = o.emitted_b[j];
-            }
-            ea = nea;
-            eb = neb;
+            ea = (o.emitted_a >> o.consume_a) & ((1 << (va - o.consume_a)) - 1);
+            eb = (o.emitted_b >> o.consume_b) & ((1 << (vb - o.consume_b)) - 1);
             assert!(o.consume_a > 0 || o.consume_b > 0, "progress guaranteed");
         }
         // Epilogue: remaining elements.
@@ -858,16 +820,17 @@ mod tests {
             SetOpKind::Difference => {
                 for i in pa..a.len() {
                     let w = a[i];
-                    let already = (0..4).any(|k| pa + k < a.len() && ea[k] && a[pa + k] == w);
+                    let already =
+                        (0..4).any(|k| pa + k < a.len() && ea >> k & 1 != 0 && a[pa + k] == w);
                     if !already {
                         out.push(w);
                     }
                 }
             }
             SetOpKind::Union => {
-                for (p, set, e) in [(pa, a, &ea), (pb, b, &eb)] {
+                for (p, set, e) in [(pa, a, ea), (pb, b, eb)] {
                     for (k, &v) in set[p..].iter().enumerate() {
-                        if k < 4 && e[k] {
+                        if k < 4 && e >> k & 1 != 0 {
                             continue;
                         }
                         out.push(v);

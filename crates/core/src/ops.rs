@@ -209,6 +209,7 @@ impl DbExtension {
 
     // ---- micro-op implementations ----
 
+    #[inline]
     fn u_st(&mut self, ctx: &mut TieCtx<'_>, flush: bool) -> Result<(), SimError> {
         let s = &mut self.st;
         if s.fifo.is_empty() {
@@ -234,6 +235,7 @@ impl DbExtension {
         Ok(())
     }
 
+    #[inline]
     fn u_st_s(&mut self) {
         let s = &mut self.st;
         if !s.result.is_empty() && s.fifo.free() >= s.result.len() {
@@ -242,6 +244,7 @@ impl DbExtension {
         }
     }
 
+    #[inline]
     fn u_sop(&mut self, kind: SetOpKind) {
         let s = &mut self.st;
         if s.done || !s.result.is_empty() || s.consumed_a > 0 || s.consumed_b > 0 {
@@ -258,10 +261,10 @@ impl DbExtension {
             kind,
             &s.word_a.vals,
             s.word_a.cnt,
-            &s.word_a.emitted,
+            s.word_a.emitted,
             &s.word_b.vals,
             s.word_b.cnt,
-            &s.word_b.emitted,
+            s.word_b.emitted,
             self.cfg.partial_loading,
         );
         s.result = out.emit;
@@ -346,6 +349,7 @@ impl DbExtension {
         }
     }
 
+    #[inline]
     fn u_ldp(&mut self, b_side: bool) {
         let s = &mut self.st;
         let (w, src, consumed) = if b_side {
@@ -366,6 +370,7 @@ impl DbExtension {
         *consumed = 0;
     }
 
+    #[inline]
     fn u_ld(&mut self, ctx: &mut TieCtx<'_>, b_side: bool, lsu: usize) -> Result<(), SimError> {
         let s = &mut self.st;
         let (buf, ptr, end) = if b_side {
@@ -388,6 +393,7 @@ impl DbExtension {
         Ok(())
     }
 
+    #[inline]
     fn u_ld_any(&mut self, ctx: &mut TieCtx<'_>) -> Result<(), SimError> {
         let s = &self.st;
         let a_can = s.load_a.free() >= 4 && s.ptr_a < s.end_a;
@@ -424,25 +430,21 @@ impl DbExtension {
 
     fn u_drain(&mut self, b_side: bool) {
         let s = &mut self.st;
-        let (w, buf) = if b_side {
-            (&mut s.word_b, &mut s.load_b)
+        let (w, buf, consumed) = if b_side {
+            (&mut s.word_b, &mut s.load_b, &mut s.consumed_b)
         } else {
-            (&mut s.word_a, &mut s.load_a)
+            (&mut s.word_a, &mut s.load_a, &mut s.consumed_a)
         };
         // 4 window lanes + a full load buffer (its cap is bounded by the
         // FIFO cap, 12) can exceed the FIFO capacity; the oversize case
         // bails out below exactly as before.
         let mut vals = [0u32; 4 + crate::states::STORE_FIFO_CAP];
         let mut n = 0;
-        for i in 0..w.cnt {
-            if !w.emitted[i] {
-                vals[n] = w.vals[i];
-                n += 1;
-            }
+        let unemitted = (0..w.cnt).filter(|&i| w.emitted >> i & 1 == 0);
+        for v in unemitted.map(|i| w.vals[i]).chain(buf.iter()) {
+            vals[n] = v;
+            n += 1;
         }
-        let tail = buf.as_slice();
-        vals[n..n + tail.len()].copy_from_slice(tail);
-        n += tail.len();
         if n > s.fifo.free() {
             return; // kernel must flush the FIFO first
         }
@@ -451,6 +453,8 @@ impl DbExtension {
         }
         *w = Default::default();
         buf.clear();
+        // The drained window has nothing left for `LD_P` to retire.
+        *consumed = 0;
     }
 
     fn u_cpy_st(&mut self, ctx: &mut TieCtx<'_>) -> Result<(), SimError> {
@@ -885,14 +889,20 @@ impl Extension for DbExtension {
         })
     }
 
+    #[inline]
+    fn execute_one(
+        &mut self,
+        opcode: u16,
+        args: OpArgs,
+        ctx: &mut TieCtx<'_>,
+    ) -> Result<u32, SimError> {
+        // A lone op needs neither the hazard scan nor the staging sort.
+        self.exec_one(opcode, args, ctx)?;
+        ctx.counters.count_ext_op(opcode);
+        Ok(0)
+    }
+
     fn execute(&mut self, ops: &[(u16, OpArgs)], ctx: &mut TieCtx<'_>) -> Result<u32, SimError> {
-        // The overwhelmingly common case — a single extension op — needs
-        // neither the hazard scan nor the staging sort.
-        if let [(o, args)] = ops {
-            self.exec_one(*o, *args, ctx)?;
-            ctx.counters.count_ext_op(*o);
-            return Ok(0);
-        }
         // Structural-hazard check: no duplicated micro-resources, and SOP
         // never shares a cycle with LD_P (critical-path constraint).
         let mut seen: u16 = 0;

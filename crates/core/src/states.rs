@@ -22,18 +22,23 @@ pub const LOAD_BUF_CAP: usize = 8;
 /// an undrained partial beat).
 pub const STORE_FIFO_CAP: usize = 12;
 
-/// Slots past [`STORE_FIFO_CAP`] that always hold [`SENTINEL`], so that a
-/// push of up to eight lanes and a take of up to four are fixed-width
-/// copies at a variable offset rather than variable-length `memmove`s.
-const FIFO_SLACK: usize = 8;
+/// Slots of the [`ElemFifo`] ring: a power of two at least the largest
+/// capacity plus the widest push, so a push can write its whole beat past
+/// the tail without reaching the head.
+const RING: usize = 32;
+const _: () = assert!(RING.is_power_of_two() && RING >= STORE_FIFO_CAP + 8);
 
-/// A small shifting FIFO of set elements (a Load buffer or the store path).
+/// A small FIFO of set elements (a Load buffer or the store path).
 ///
-/// Invariant: every slot at or past `len` holds [`SENTINEL`]. Pushes write
-/// a whole beat and takes shift the whole array, both relying on it.
+/// A ring with a head index: pushes write a whole beat at the tail and
+/// takes read a whole beat at the head, so neither moves the elements it
+/// leaves behind. Slots outside `head..head + len` hold junk, which no
+/// read returns: a take masks the lanes past its count with
+/// [`SENTINEL`].
 #[derive(Debug, Clone)]
 pub struct ElemFifo {
-    buf: [u32; STORE_FIFO_CAP + FIFO_SLACK],
+    buf: [u32; RING],
+    head: usize,
     len: usize,
     cap: usize,
 }
@@ -43,7 +48,8 @@ impl ElemFifo {
     pub fn new(cap: usize) -> Self {
         assert!(cap <= STORE_FIFO_CAP);
         ElemFifo {
-            buf: [SENTINEL; STORE_FIFO_CAP + FIFO_SLACK],
+            buf: [SENTINEL; RING],
+            head: 0,
             len: 0,
             cap,
         }
@@ -78,17 +84,14 @@ impl ElemFifo {
     #[inline]
     pub fn push<const W: usize>(&mut self, lanes: &[u32; W], n: usize) {
         assert!(
-            W <= FIFO_SLACK && n <= W && n <= self.free(),
+            W <= 8 && n <= W && n <= self.free(),
             "FIFO overflow: structural bug"
         );
-        // `len + W` <= 12 + 8 slots. Lanes past `n` land on slots that
-        // already hold the sentinel and keep it.
-        for (i, (slot, &v)) in self.buf[self.len..self.len + W]
-            .iter_mut()
-            .zip(lanes)
-            .enumerate()
-        {
-            *slot = if i < n { v } else { SENTINEL };
+        // All `W` lanes go in: the ones past `n` land on free slots
+        // (`len + W <= 12 + 8 < RING`) and stay outside the elements.
+        let tail = self.head + self.len;
+        for (i, &v) in lanes.iter().enumerate() {
+            self.buf[(tail + i) & (RING - 1)] = v;
         }
         self.len += n;
     }
@@ -100,16 +103,15 @@ impl ElemFifo {
     pub fn take(&mut self, n: usize) -> ([u32; 4], usize) {
         assert!(n <= 4, "at most one beat per take");
         let k = n.min(self.len);
-        let mut beat = [SENTINEL; 4];
-        for (i, lane) in beat.iter_mut().enumerate() {
+        let beat = std::array::from_fn(|i| {
+            let v = self.buf[(self.head + i) & (RING - 1)];
             if i < k {
-                *lane = self.buf[i];
+                v
+            } else {
+                SENTINEL
             }
-        }
-        // Shift by `k` <= 4 with one fixed 12-slot copy: slots `k..k + 12`
-        // become `0..12`. The slots this vacates below 12 receive sentinel
-        // slots from at or past the old `len`, and the slack is untouched.
-        self.buf.copy_within(k..k + STORE_FIFO_CAP, 0);
+        });
+        self.head = (self.head + k) & (RING - 1);
         self.len -= k;
         (beat, k)
     }
@@ -117,18 +119,18 @@ impl ElemFifo {
     /// Peeks the front element.
     #[inline]
     pub fn front(&self) -> Option<u32> {
-        (self.len > 0).then(|| self.buf[0])
+        (self.len > 0).then(|| self.buf[self.head])
     }
 
-    /// Read-only view of the buffered elements.
-    pub fn as_slice(&self) -> &[u32] {
-        &self.buf[..self.len]
+    /// The buffered elements, front first.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.len).map(|i| self.buf[(self.head + i) & (RING - 1)])
     }
 
     /// Clears the FIFO.
     pub fn clear(&mut self) {
+        self.head = 0;
         self.len = 0;
-        self.buf = [SENTINEL; STORE_FIFO_CAP + FIFO_SLACK];
     }
 }
 
@@ -154,9 +156,7 @@ impl ResultStates {
         assert!(len <= 8, "the Result states hold eight elements");
         let mut out = Self::EMPTY;
         for (i, (o, v)) in out.lanes.iter_mut().zip(lanes).enumerate() {
-            if i < len {
-                *o = v;
-            }
+            *o = if i < len { v } else { SENTINEL };
         }
         out.len = len;
         out
@@ -191,8 +191,9 @@ pub struct Window {
     pub vals: [u32; 4],
     /// Valid lane count.
     pub cnt: usize,
-    /// Per-lane "already emitted" flags (full-window-retirement mode).
-    pub emitted: [bool; 4],
+    /// "Already emitted" lane mask, bit `i` for lane `i`
+    /// (full-window-retirement mode).
+    pub emitted: u8,
 }
 
 impl Default for Window {
@@ -200,7 +201,7 @@ impl Default for Window {
         Window {
             vals: [SENTINEL; 4],
             cnt: 0,
-            emitted: [false; 4],
+            emitted: 0,
         }
     }
 }
@@ -212,25 +213,23 @@ impl Window {
     pub fn shift_refill(&mut self, consumed: usize, src: &mut ElemFifo) {
         debug_assert!(consumed <= self.cnt);
         let remain = self.cnt - consumed;
-        let want = 4 - remain;
-        let (beat, got) = if want > 0 && !src.is_empty() {
-            src.take(want)
+        let (beat, got) = if remain < 4 && !src.is_empty() {
+            src.take(4 - remain)
         } else {
             ([SENTINEL; 4], 0)
         };
         // Lane `i` keeps old lane `i + consumed` below `remain` and takes
         // refill lane `i - remain` above it; the `& 3` only restates the
         // bounds (both indices are < 4 where they are used).
-        let (old_vals, old_emitted) = (self.vals, self.emitted);
-        for i in 0..4 {
-            let kept = i < remain;
-            self.vals[i] = if kept {
-                old_vals[(i + consumed) & 3]
+        let old = self.vals;
+        self.vals = std::array::from_fn(|i| {
+            if i < remain {
+                old[(i + consumed) & 3]
             } else {
                 beat[i.wrapping_sub(remain) & 3]
-            };
-            self.emitted[i] = kept && old_emitted[(i + consumed) & 3];
-        }
+            }
+        });
+        self.emitted = (self.emitted >> (consumed & 7)) & ((1u8 << remain) - 1);
         self.cnt = remain + got;
     }
 
@@ -361,7 +360,7 @@ mod tests {
         f.push(&[4], 1);
         assert_eq!(f.len(), 4);
         assert_eq!(f.take(2), ([1, 2, SENTINEL, SENTINEL], 2));
-        assert_eq!(f.as_slice(), &[3, 4]);
+        assert_eq!(f.iter().collect::<Vec<_>>(), [3, 4]);
         assert_eq!(f.front(), Some(3));
         assert_eq!(f.take(4), ([3, 4, SENTINEL, SENTINEL], 2));
         assert!(f.is_empty());
@@ -378,7 +377,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
-        fn fifo_slots_from_len_on_stay_sentinel(
+        fn fifo_matches_a_queue_model_across_ring_wraps(
             cap in 1usize..=STORE_FIFO_CAP,
             steps in proptest::collection::vec((any::<bool>(), 0usize..=8, any::<u32>()), 1..64),
         ) {
@@ -398,11 +397,8 @@ mod tests {
                     prop_assert_eq!(&beat[..k], &expect[..]);
                     prop_assert!(beat[k..].iter().all(|&v| v == SENTINEL));
                 }
-                prop_assert_eq!(f.as_slice(), &model[..]);
-                prop_assert!(
-                    f.buf[f.len..].iter().all(|&v| v == SENTINEL),
-                    "slot at or past len {} not sentinel: {:?}", f.len, f.buf
-                );
+                prop_assert_eq!(f.iter().collect::<Vec<_>>(), model.clone());
+                prop_assert_eq!(f.front(), model.first().copied());
             }
         }
     }
@@ -415,14 +411,10 @@ mod tests {
         w.shift_refill(0, &mut src);
         assert_eq!(w.vals, [10, 20, 30, 40]);
         assert!(w.is_full());
-        w.emitted = [false, true, true, false];
+        w.emitted = 0b0110;
         w.shift_refill(2, &mut src);
         assert_eq!(w.vals, [30, 40, 50, 60]);
-        assert_eq!(
-            w.emitted,
-            [true, false, false, false],
-            "flags shift with lanes"
-        );
+        assert_eq!(w.emitted, 0b0001, "flags shift with lanes");
         assert!(src.is_empty());
         // Partial refill leaves sentinels.
         w.shift_refill(3, &mut src);

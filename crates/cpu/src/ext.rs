@@ -105,6 +105,19 @@ pub trait Extension: Send {
     /// cycles (e.g. memory latency reported by the LSUs).
     fn execute(&mut self, ops: &[(u16, OpArgs)], ctx: &mut TieCtx<'_>) -> Result<u32, SimError>;
 
+    /// Executes one extension op issued on its own — the common case, a
+    /// plain `Instr::Ext` outside a bundle. Must behave exactly like
+    /// [`Self::execute`] on the one-op group; extensions override it only
+    /// to skip the group handling.
+    fn execute_one(
+        &mut self,
+        op: u16,
+        args: OpArgs,
+        ctx: &mut TieCtx<'_>,
+    ) -> Result<u32, SimError> {
+        self.execute(&[(op, args)], ctx)
+    }
+
     /// Resets all extension states to power-on values.
     fn reset(&mut self);
 

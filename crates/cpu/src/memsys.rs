@@ -182,6 +182,20 @@ impl MemorySystem {
         self.dmems.iter().position(|m| m.contains(addr, 1))
     }
 
+    /// The data memory a lane access through `lsu` reaches: the LSU's
+    /// own memory when it holds `addr`. A memory system has no local
+    /// store, one memory (one LSU) or one memory per LSU, so this is the
+    /// memory owning `addr` exactly when the access is legal; any other
+    /// address is `Unmapped`, whether another LSU's memory holds it or
+    /// none does.
+    #[inline]
+    fn lane_dmem(&self, lsu: usize, addr: u32) -> Result<usize, SimError> {
+        match self.dmems.get(lsu) {
+            Some(m) if m.contains(addr, 1) => Ok(lsu),
+            _ => Err(SimError::Mem(MemError::Unmapped { addr })),
+        }
+    }
+
     /// Protection scheme of the local data memories.
     pub fn dmem_protection(&self) -> ProtectionKind {
         self.dmems
@@ -308,6 +322,7 @@ impl MemorySystem {
     /// Like [`Self::load_lanes`], but reads into a caller-provided buffer
     /// (the lane count is `out.len()`) — the allocation-free form the
     /// per-cycle extension datapath uses.
+    #[inline]
     pub fn load_lanes_into(
         &mut self,
         lsu: usize,
@@ -316,12 +331,7 @@ impl MemorySystem {
         counters: &mut EventCounters,
     ) -> Result<(), SimError> {
         self.charge_lsu(lsu, Width::W32)?;
-        let ix = self
-            .dmem_index(addr)
-            .ok_or(SimError::Mem(MemError::Unmapped { addr }))?;
-        if self.dmems.len() > 1 && ix != lsu {
-            return Err(SimError::Mem(MemError::Unmapped { addr }));
-        }
+        let ix = self.lane_dmem(lsu, addr)?;
         self.dmem_port(ix)
             .read_lanes_into(AccessPort::Core, addr, out)?;
         counters.loads_local += 1;
@@ -333,6 +343,7 @@ impl MemorySystem {
     /// Stores up to four 32-bit lanes into a local memory through `lsu`
     /// (byte-enabled partial 128-bit store). Same beat-boundary rule as
     /// [`Self::load_lanes`].
+    #[inline]
     pub fn store_lanes(
         &mut self,
         lsu: usize,
@@ -341,12 +352,7 @@ impl MemorySystem {
         counters: &mut EventCounters,
     ) -> Result<(), SimError> {
         self.charge_lsu(lsu, Width::W32)?;
-        let ix = self
-            .dmem_index(addr)
-            .ok_or(SimError::Mem(MemError::Unmapped { addr }))?;
-        if self.dmems.len() > 1 && ix != lsu {
-            return Err(SimError::Mem(MemError::Unmapped { addr }));
-        }
+        let ix = self.lane_dmem(lsu, addr)?;
         self.dmem_port(ix)
             .write_lanes(AccessPort::Core, addr, lanes)?;
         counters.stores_local += 1;
@@ -454,6 +460,38 @@ mod tests {
         assert!(m.load(0, DMEM1_BASE, Width::W32, &mut c).is_err());
         m.begin_cycle();
         assert!(m.load(1, DMEM0_BASE, Width::W32, &mut c).is_err());
+    }
+
+    /// A lane access reaches only its LSU's own memory: another LSU's
+    /// memory and unmapped space are both `Unmapped`.
+    #[test]
+    fn lane_accesses_stay_on_their_own_memory() {
+        fn unmapped(r: Result<(), SimError>, at: u32) -> bool {
+            matches!(r, Err(SimError::Mem(MemError::Unmapped { addr })) if addr == at)
+        }
+        let mut c = counters();
+        let mut m = MemorySystem::new(&CpuConfig::local_store_core(2, 32));
+        m.poke_words(DMEM1_BASE, &[5, 6]).unwrap();
+        for (lsu, addr) in [(0, DMEM1_BASE), (1, DMEM0_BASE), (1, SYSMEM_BASE)] {
+            m.begin_cycle();
+            assert!(unmapped(
+                m.load_lanes_into(lsu, addr, &mut [0; 2], &mut c),
+                addr
+            ));
+            m.begin_cycle();
+            assert!(unmapped(m.store_lanes(lsu, addr, &[1], &mut c), addr));
+        }
+        m.begin_cycle();
+        let mut out = [0; 2];
+        m.load_lanes_into(1, DMEM1_BASE, &mut out, &mut c).unwrap();
+        assert_eq!(out, [5, 6]);
+        assert_eq!(c.loads_local, 1);
+
+        // No local store at all: every lane address is unmapped.
+        let mut m = MemorySystem::new(&CpuConfig::small_cached_controller());
+        m.begin_cycle();
+        let r = m.load_lanes_into(0, DMEM0_BASE, &mut [0; 1], &mut c);
+        assert!(unmapped(r, DMEM0_BASE));
     }
 
     #[test]

@@ -433,7 +433,8 @@ impl Processor {
         }
         self.counters.flix_bundles += 1;
         if !bundle.ext_ops.is_empty() {
-            *cycles += self.exec_ext_group(pc, &bundle.ext_ops)? as u64;
+            let (ext, mut ctx) = self.ext_ctx(pc)?;
+            *cycles += ext.execute(&bundle.ext_ops, &mut ctx)? as u64;
         }
         for &(r, s, imm) in bundle.addis.iter() {
             let v = self.ar_rd(s).wrapping_add(imm as i32 as u32);
@@ -602,7 +603,8 @@ impl Processor {
                 });
             }
             Instr::Ext(op) => {
-                *cycles += self.exec_ext_group(pc, &[(op.op, op.args)])? as u64;
+                let (ext, mut ctx) = self.ext_ctx(pc)?;
+                *cycles += ext.execute_one(op.op, op.args, &mut ctx)? as u64;
             }
             Instr::Flix(_) => unreachable!("bundles execute from their decoded step"),
         }
@@ -689,22 +691,20 @@ impl Processor {
         self.cfg.jump_penalty
     }
 
-    fn exec_ext_group(
-        &mut self,
-        pc: u32,
-        ops: &[(u16, crate::isa::OpArgs)],
-    ) -> Result<u32, SimError> {
+    /// The attached extension and the context its ops run in.
+    #[inline]
+    fn ext_ctx(&mut self, pc: u32) -> Result<(&mut dyn Extension, TieCtx<'_>), SimError> {
         let ext = self
             .ext
             .as_deref_mut()
             .ok_or(SimError::NoExtension { pc })?;
-        let mut ctx = TieCtx {
+        let ctx = TieCtx {
             ar: &mut self.ar,
             mem: &mut self.mem,
             counters: &mut self.counters,
             queues: &mut self.queues,
         };
-        ext.execute(ops, &mut ctx)
+        Ok((ext, ctx))
     }
 
     /// Runs until `HALT` or until `max_cycles` elapse.

@@ -72,8 +72,11 @@
 //! (the DSE frontier's best speedup) by a drop of more than 3%, `exact`
 //! metrics (scale, serve admission counters, the rediscovered SOP/ST_S/
 //! bundle shapes) on any change, or a gated key present on one side
-//! only. An unknown flag, or a flag with a missing or malformed value,
-//! exits 2; an unreadable or malformed file exits 1.
+//! only. An unknown flag, a flag the chosen experiment does not read, a
+//! flag with a missing or malformed value, or a stray argument exits 2;
+//! an unreadable or malformed file exits 1. Flags may precede the
+//! experiment (`repro --scale 0.5 bench`). A reader closing stdout early
+//! (`repro ... | head`) ends the run quietly with exit 0.
 //!
 //! Every artifact is in the simulated-cycle domain (Tables 5 and 6 set
 //! the simulated DBA beside the *published* x86 numbers), so two runs of
@@ -87,44 +90,197 @@ use dbx_harness::{
 use dbx_observe::snapshot::{compare, render_diff, Snapshot};
 use std::str::FromStr;
 
+/// How a flag takes its value.
+#[derive(Clone, Copy)]
+enum Arity {
+    /// A bare switch.
+    Switch,
+    /// Always followed by a value.
+    Value,
+    /// Followed by a value when the next argument is a number.
+    OptionalNumber,
+}
+
 /// Every flag `repro` reads; any other `--` argument is a usage error.
-const FLAGS: &[&str] = &[
-    "--quick",
-    "--csv",
-    "--op=union",
-    "--op=diff",
-    "--json",
-    "--perfetto",
-    "--folded",
-    "--top",
-    "--check",
-    "--scale",
-    "--metrics",
-    "--metrics-json",
-    "--top-tail",
-    "--profiled",
+const FLAGS: &[(&str, Arity)] = &[
+    ("--quick", Arity::Switch),
+    ("--csv", Arity::Switch),
+    ("--op=union", Arity::Switch),
+    ("--op=diff", Arity::Switch),
+    ("--json", Arity::Switch),
+    ("--perfetto", Arity::Value),
+    ("--folded", Arity::Value),
+    ("--top", Arity::Value),
+    ("--check", Arity::Value),
+    ("--scale", Arity::Value),
+    ("--metrics", Arity::Switch),
+    ("--metrics-json", Arity::Switch),
+    ("--top-tail", Arity::Value),
+    ("--profiled", Arity::OptionalNumber),
 ];
+
+/// Every experiment and the flags it reads.
+const EXPERIMENTS: &[(&str, &[&str])] = &[
+    ("table2", &["--quick"]),
+    ("fig13", &["--quick", "--csv", "--op=union", "--op=diff"]),
+    ("table3", &[]),
+    ("table4", &[]),
+    ("table5", &["--quick"]),
+    ("table6", &["--quick"]),
+    ("stream", &["--quick"]),
+    ("pipeline", &[]),
+    ("scaling", &["--quick"]),
+    ("energy", &["--quick"]),
+    ("resilience", &["--quick"]),
+    ("width", &[]),
+    ("isa", &[]),
+    (
+        "observe",
+        &[
+            "--quick",
+            "--json",
+            "--perfetto",
+            "--folded",
+            "--top",
+            "--check",
+        ],
+    ),
+    (
+        "bench",
+        &["--quick", "--scale", "--json", "--folded", "--check"],
+    ),
+    (
+        "serve",
+        &[
+            "--quick",
+            "--scale",
+            "--json",
+            "--metrics",
+            "--metrics-json",
+            "--top-tail",
+            "--check",
+        ],
+    ),
+    ("monitor", &["--quick", "--scale", "--top-tail"]),
+    ("dse", &["--json", "--profiled", "--check"]),
+    ("diff", &[]),
+];
+
+/// What `repro all` runs, in order. It hands every experiment the same
+/// arguments, so it accepts every flag.
+const ALL: [&str; 16] = [
+    "table2",
+    "fig13",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "stream",
+    "pipeline",
+    "scaling",
+    "energy",
+    "resilience",
+    "width",
+    "observe",
+    "bench",
+    "serve",
+    "dse",
+];
+
+/// Splits the command line into the experiment (the first positional
+/// argument that is not a flag's value; `all` when there is none) and
+/// the positional arguments after it, and checks every flag against the
+/// flags that experiment reads. Anything else is a usage error.
+fn parse_command(args: &[String]) -> (&str, Vec<&str>) {
+    let mut flags = Vec::new();
+    let mut positional = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            positional.push(arg.as_str());
+            continue;
+        }
+        let Some(&(flag, arity)) = FLAGS.iter().find(|(f, _)| f == arg) else {
+            let known: Vec<&str> = FLAGS.iter().map(|(f, _)| *f).collect();
+            usage_error(&format!("unknown flag {arg}; flags: {}", known.join(" ")));
+        };
+        flags.push(flag);
+        // The flag's reader reports a missing or malformed value.
+        let next = rest.as_slice().first();
+        let takes_next = match arity {
+            Arity::Switch => false,
+            Arity::Value => next.is_some_and(|v| !v.starts_with("--")),
+            Arity::OptionalNumber => next.is_some_and(|v| v.parse::<u64>().is_ok()),
+        };
+        if takes_next {
+            rest.next();
+        }
+    }
+    let (cmd, operands) = match positional.split_first() {
+        Some((cmd, operands)) => (*cmd, operands.to_vec()),
+        None => ("all", Vec::new()),
+    };
+    let reads: Vec<&str> = match EXPERIMENTS.iter().find(|(name, _)| *name == cmd) {
+        Some((_, reads)) => reads.to_vec(),
+        None if cmd == "all" => FLAGS.iter().map(|(f, _)| *f).collect(),
+        None => {
+            let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+            usage_error(&format!(
+                "unknown experiment '{cmd}'; available: {} all",
+                names.join(" ")
+            ))
+        }
+    };
+    if let Some(flag) = flags.iter().find(|f| !reads.contains(f)) {
+        usage_error(&format!("{cmd} does not take {flag}"));
+    }
+    if let (false, Some(extra)) = (cmd == "diff", operands.first()) {
+        usage_error(&format!("unexpected argument '{extra}' after {cmd}"));
+    }
+    (cmd, operands)
+}
+
+/// Writes to stdout. A reader that closes the pipe early (`repro ... |
+/// head`) has read all it wants, so that ends the run quietly with exit
+/// 0; any other write error exits 1.
+fn write_stdout(text: std::fmt::Arguments) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(text).and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("repro: stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(flag) = args
-        .iter()
-        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
-    {
-        usage_error(&format!("unknown flag {flag}; flags: {}", FLAGS.join(" ")));
-    }
+    let (cmd, operands) = parse_command(&args);
     let quick = args.iter().any(|a| a == "--quick");
     let csv = args.iter().any(|a| a == "--csv");
-    let cmd = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
     let scale = if quick { 0.1 } else { 1.0 };
 
-    let run_one = |name: &str| {
-        match name {
-        "table2" => println!("{}", table2::run(scale).render()),
+    let run_one = |name: &str| match name {
+        "table2" => outln!("{}", table2::run(scale).render()),
         "fig13" => {
             let kind = if args.iter().any(|a| a == "--op=union") {
                 dbx_core::SetOpKind::Union
@@ -135,55 +291,35 @@ fn main() {
             };
             let f = fig13::run_op(kind, scale);
             if csv {
-                print!("{}", f.to_csv());
+                out!("{}", f.to_csv());
             } else {
-                println!("{}", f.render());
+                outln!("{}", f.render());
             }
         }
-        "table3" => println!("{}", table3::run().render()),
-        "table4" => println!("{}", table4::run().render()),
-        "table5" => println!("{}", table5::run(scale).render()),
-        "table6" => println!("{}", table6::run(scale).render()),
-        "stream" => println!("{}", stream_exp::run(scale).render()),
-        "pipeline" => println!("{}", pipeline::run().render()),
-        "scaling" => println!("{}", scaling::run(scale).render()),
-        "energy" => println!("{}", energy::run(scale).render()),
-        "resilience" => println!("{}", resilience::run(scale).render()),
-        "width" => println!("{}", width_exp::run().render()),
-        "isa" => println!("{}", isa_ref::render()),
+        "table3" => outln!("{}", table3::run().render()),
+        "table4" => outln!("{}", table4::run().render()),
+        "table5" => outln!("{}", table5::run(scale).render()),
+        "table6" => outln!("{}", table6::run(scale).render()),
+        "stream" => outln!("{}", stream_exp::run(scale).render()),
+        "pipeline" => outln!("{}", pipeline::run().render()),
+        "scaling" => outln!("{}", scaling::run(scale).render()),
+        "energy" => outln!("{}", energy::run(scale).render()),
+        "resilience" => outln!("{}", resilience::run(scale).render()),
+        "width" => outln!("{}", width_exp::run().render()),
+        "isa" => outln!("{}", isa_ref::render()),
         "observe" => run_observe(&args, scale),
         "bench" => run_bench(&args, scale),
         "serve" => run_serve(&args, scale),
         "monitor" => run_monitor(&args, scale),
         "dse" => run_dse(&args),
-        "diff" => run_diff(&args),
-        other => usage_error(&format!(
-            "unknown experiment '{other}'; available: table2 fig13 table3 table4 table5 table6 stream pipeline scaling energy resilience width isa observe bench serve monitor dse diff all"
-        )),
-    }
+        "diff" => run_diff(&operands),
+        other => unreachable!("parse_command accepted '{other}'"),
     };
 
     if cmd == "all" {
-        for name in [
-            "table2",
-            "fig13",
-            "table3",
-            "table4",
-            "table5",
-            "table6",
-            "stream",
-            "pipeline",
-            "scaling",
-            "energy",
-            "resilience",
-            "width",
-            "observe",
-            "bench",
-            "serve",
-            "dse",
-        ] {
+        for name in ALL {
             run_one(name);
-            println!();
+            outln!();
         }
     } else {
         run_one(cmd);
@@ -260,19 +396,13 @@ fn run_check(baseline: Option<(String, Snapshot)>, current: &Snapshot) {
 }
 
 /// `repro diff a.json b.json`: exit 1 if any key or value differs.
-fn run_diff(args: &[String]) {
-    let files: Vec<&String> = args
-        .iter()
-        .skip_while(|a| *a != "diff")
-        .skip(1)
-        .filter(|a| !a.starts_with("--"))
-        .collect();
+fn run_diff(files: &[&str]) {
     let [a, b] = files[..] else {
         usage_error("diff needs exactly two snapshot files");
     };
     let (base, cur) = (read_snapshot(a), read_snapshot(b));
     let deltas = compare(&base, &cur);
-    print!("{}", render_diff(&deltas));
+    out!("{}", render_diff(&deltas));
     if deltas.iter().any(|d| d.changed()) {
         std::process::exit(1);
     }
@@ -293,10 +423,10 @@ fn run_observe(args: &[String], scale: f64) {
     }
     let snapshot = o.snapshot();
     if args.iter().any(|a| a == "--json") {
-        println!("{snapshot}");
+        outln!("{snapshot}");
     } else {
-        println!("{}", o.render());
-        println!("{}", o.hotspot_report(top));
+        outln!("{}", o.render());
+        outln!("{}", o.hotspot_report(top));
     }
     run_check(baseline, &snapshot);
 }
@@ -309,15 +439,15 @@ fn run_serve(args: &[String], scale: f64) {
 
     let snapshot = s.snapshot();
     if args.iter().any(|a| a == "--metrics") {
-        print!("{}", s.metrics());
+        out!("{}", s.metrics());
     } else if args.iter().any(|a| a == "--metrics-json") {
-        println!("{}", s.metrics_json());
+        outln!("{}", s.metrics_json());
     } else if args.iter().any(|a| a == "--json") {
-        println!("{snapshot}");
+        outln!("{snapshot}");
     } else {
-        println!("{}", s.render());
+        outln!("{}", s.render());
         if let Some(n) = top_tail {
-            println!("{}", s.top_tail_report(n));
+            outln!("{}", s.top_tail_report(n));
         }
     }
     if !s.recovery_ok() {
@@ -331,7 +461,7 @@ fn run_monitor(args: &[String], scale: f64) {
     let scale = scale_flag(args, scale);
     let top_tail = flag_value(args, "--top-tail").unwrap_or(5);
     let m = monitor::run(scale);
-    println!("{}", m.render(top_tail));
+    outln!("{}", m.render(top_tail));
 }
 
 fn run_dse(args: &[String]) {
@@ -339,20 +469,17 @@ fn run_dse(args: &[String]) {
     let profiled = args
         .iter()
         .position(|a| a == "--profiled")
-        .map(|i| match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => flag_value(args, "--profiled").unwrap_or(64),
-            _ => 64,
-        });
+        .map(|i| args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(64));
     let baseline = check_baseline(args);
     let d = dse::run();
     let snapshot = d.snapshot();
     if args.iter().any(|a| a == "--json") {
-        println!("{snapshot}");
+        outln!("{snapshot}");
     } else {
-        println!("{}", d.render());
+        outln!("{}", d.render());
     }
     if let Some(period) = profiled {
-        println!("{}", dse::profile_weighted(period).render());
+        outln!("{}", dse::profile_weighted(period).render());
     }
     run_check(baseline, &snapshot);
 }
@@ -368,9 +495,9 @@ fn run_bench(args: &[String], scale: f64) {
         write_file(&path, &suite.folded().render());
     }
     if args.iter().any(|a| a == "--json") {
-        println!("{snapshot}");
+        outln!("{snapshot}");
     } else {
-        println!("{}", suite.render());
+        outln!("{}", suite.render());
     }
     run_check(baseline, &snapshot);
 }

@@ -98,3 +98,57 @@ fn diff_needs_two_readable_files() {
     let err = exits(1, &["diff", "BENCH_perf.json", "no/such/file.json"]);
     assert!(err.contains("no/such/file.json"), "{err}");
 }
+
+#[test]
+fn the_experiment_is_found_by_position_skipping_flag_values() {
+    // `0.5` is the value of `--scale`, not the experiment: `bench` runs
+    // and fails only on its unreadable baseline, which it reads first.
+    let err = exits(
+        1,
+        &[
+            "--scale",
+            "0.5",
+            "bench",
+            "--check",
+            "no/such/baseline.json",
+        ],
+    );
+    assert!(err.contains("no/such/baseline.json"), "{err}");
+    // A numeric `--profiled` period is skipped the same way.
+    let err = exits(
+        1,
+        &[
+            "--profiled",
+            "32",
+            "dse",
+            "--check",
+            "no/such/baseline.json",
+        ],
+    );
+    assert!(err.contains("no/such/baseline.json"), "{err}");
+}
+
+#[test]
+fn a_flag_the_experiment_does_not_read_is_a_usage_error() {
+    // `--op=union` is a fig13 flag: table2 would silently ignore it.
+    let err = exits(2, &["table2", "--op=union"]);
+    assert!(err.contains("--op=union"), "{err}");
+    let err = exits(2, &["dse", "--scale", "0.5"]);
+    assert!(err.contains("--scale"), "{err}");
+    let err = exits(2, &["table2", "table3"]);
+    assert!(err.contains("table3"), "{err}");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("isa")
+        .stdout(writer)
+        .output()
+        .expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}

@@ -390,39 +390,55 @@ impl LocalMemory {
         Ok(())
     }
 
+    /// Checks a lane access of `n` (<= 4) lanes at `addr` and charges one
+    /// port access per 16-byte beat it touches. `None` for no lanes
+    /// (nothing charged), else the beat count.
+    #[inline]
+    fn charge_beats(
+        &mut self,
+        port: AccessPort,
+        addr: u32,
+        n: usize,
+    ) -> Result<Option<u32>, MemError> {
+        assert!(n <= 4, "at most one 128-bit beat worth of lanes");
+        if !addr.is_multiple_of(4) {
+            return Err(MemError::Misaligned { addr, align: 4 });
+        }
+        if n == 0 {
+            return Ok(None);
+        }
+        let first_beat = addr / 16;
+        let last_beat = (addr + 4 * n as u32 - 4) / 16;
+        let beats = last_beat - first_beat + 1;
+        for _ in 0..beats {
+            self.charge_port(port)?;
+        }
+        Ok(Some(beats))
+    }
+
     /// Writes up to four 32-bit lanes starting at a word-aligned address,
     /// charging one port access per 16-byte beat touched — this models the
     /// byte-enabled partial stores of a 128-bit store unit (used by the
     /// `ST_FLUSH` and copy instructions for result tails). Returns the
     /// number of beats (port accesses) consumed.
+    #[inline]
     pub fn write_lanes(
         &mut self,
         port: AccessPort,
         addr: u32,
         lanes: &[u32],
     ) -> Result<u32, MemError> {
-        assert!(lanes.len() <= 4, "at most one 128-bit beat worth of lanes");
-        if !addr.is_multiple_of(4) {
-            return Err(MemError::Misaligned { addr, align: 4 });
-        }
-        if lanes.is_empty() {
+        let Some(beats) = self.charge_beats(port, addr, lanes.len())? else {
             return Ok(0);
-        }
-        let first_beat = addr / 16;
-        let last_beat = (addr + 4 * lanes.len() as u32 - 4) / 16;
-        let beats = last_beat - first_beat + 1;
-        for _ in 0..beats {
-            self.charge_port(port)?;
-        }
+        };
         let len = 4 * lanes.len();
         if self.contains(addr, len) {
             // Whole span in bounds: write contiguously, recode once —
             // identical protection accounting to the per-lane path, one
             // taint/parity scan instead of one per lane.
             let off = (addr - self.base) as usize;
-            for (i, v) in lanes.iter().enumerate() {
-                let o = off + 4 * i;
-                self.data[o..o + 4].copy_from_slice(&v.to_le_bytes());
+            for (dst, v) in self.data[off..off + len].chunks_exact_mut(4).zip(lanes) {
+                dst.copy_from_slice(&v.to_le_bytes());
             }
             self.recode(off, len);
             self.bytes_moved += len as u64;
@@ -451,36 +467,28 @@ impl LocalMemory {
     /// Like [`Self::read_lanes`], but reads into a caller-provided buffer
     /// (the lane count is `out.len()`) and returns only the beat count —
     /// the allocation-free form the per-cycle datapath uses.
+    #[inline]
     pub fn read_lanes_into(
         &mut self,
         port: AccessPort,
         addr: u32,
         out: &mut [u32],
     ) -> Result<u32, MemError> {
-        let n = out.len();
-        assert!(n <= 4, "at most one 128-bit beat worth of lanes");
-        if !addr.is_multiple_of(4) {
-            return Err(MemError::Misaligned { addr, align: 4 });
-        }
-        if n == 0 {
+        let Some(beats) = self.charge_beats(port, addr, out.len())? else {
             return Ok(0);
-        }
-        let first_beat = addr / 16;
-        let last_beat = (addr + 4 * n as u32 - 4) / 16;
-        let beats = last_beat - first_beat + 1;
-        for _ in 0..beats {
-            self.charge_port(port)?;
-        }
-        let len = 4 * n;
+        };
+        let len = 4 * out.len();
         if self.contains(addr, len) {
             // Whole span in bounds: verify once, read contiguously —
             // identical protection accounting to the per-lane path, one
             // bounds/taint scan instead of `n`.
             let off = (addr - self.base) as usize;
             self.verify(off, len)?;
-            for (i, lane) in out.iter_mut().enumerate() {
-                let o = off + 4 * i;
-                *lane = u32::from_le_bytes(self.data[o..o + 4].try_into().unwrap());
+            for (lane, src) in out
+                .iter_mut()
+                .zip(self.data[off..off + len].chunks_exact(4))
+            {
+                *lane = u32::from_le_bytes([src[0], src[1], src[2], src[3]]);
             }
             self.bytes_moved += len as u64;
             return Ok(beats);
@@ -515,14 +523,25 @@ impl LocalMemory {
 
     /// Reads `n` consecutive `u32`s starting at `addr` (inspection helper).
     /// A run hanging off the end fails at its first outside word, as
-    /// word-by-word reads would, before anything is reserved for it.
+    /// word-by-word reads would, before anything is reserved for it. An
+    /// unprotected, untainted array copies the run in one pass; otherwise
+    /// every word is verified and accounted on its own.
     pub fn read_words(&mut self, addr: u32, n: usize) -> Result<Vec<u32>, MemError> {
-        if n > 0 {
-            let off = self.check(addr, Width::W32)?;
-            let fit = (self.data.len() - off) / 4;
-            if n > fit {
-                self.check(addr + 4 * fit as u32, Width::W32)?;
-            }
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let off = self.check(addr, Width::W32)?;
+        let fit = (self.data.len() - off) / 4;
+        if n > fit {
+            self.check(addr + 4 * fit as u32, Width::W32)?;
+        }
+        if self.protection == ProtectionKind::None && self.tainted.is_empty() {
+            // Nothing to verify or account per word: one bounded copy.
+            self.bytes_moved += 4 * n as u64;
+            let words = self.data[off..off + 4 * n].chunks_exact(4);
+            return Ok(words
+                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect());
         }
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
@@ -711,6 +730,38 @@ mod tests {
         let ws = [1u32, 2, 3, 0xffff_ffff];
         m.load_words(0x6000_0040, &ws).unwrap();
         assert_eq!(m.read_words(0x6000_0040, 4).unwrap(), ws);
+    }
+
+    /// The one-pass copy of a clean array and the per-word path of a
+    /// tainted or protected one return the same words and move the same
+    /// bytes; only the per-word path accounts the corrupt word.
+    #[test]
+    fn read_words_bulk_and_per_word_paths_agree() {
+        let ws: Vec<u32> = (0..64).map(|i| i * 7 + 1).collect();
+        let read = |m: &mut LocalMemory| {
+            let got = m.read_words(0x6000_0020, ws.len()).unwrap();
+            (got, m.bytes_moved)
+        };
+        let mut clean = mem();
+        clean.load_words(0x6000_0020, &ws).unwrap();
+        let (got, moved) = read(&mut clean);
+        assert_eq!(got, ws);
+        assert_eq!(clean.faults.escaped, 0);
+
+        let mut tainted = mem();
+        tainted.load_words(0x6000_0020, &ws).unwrap();
+        tainted.inject_bit_flip(0, 0); // word 0 lies outside the run
+        assert_eq!(read(&mut tainted), (got.clone(), moved));
+        assert_eq!(tainted.faults.escaped, 0);
+        tainted.inject_bit_flip(9, 0); // run word 1: 8 ^ 1
+        let (corrupt, _) = read(&mut tainted);
+        assert_eq!((corrupt[1], tainted.faults.escaped), (9, 1));
+
+        let mut secded = mem();
+        secded.set_protection(ProtectionKind::Secded);
+        secded.load_words(0x6000_0020, &ws).unwrap();
+        assert_eq!(read(&mut secded), (got, moved));
+        assert!(secded.faults.is_zero());
     }
 
     #[test]
