@@ -29,6 +29,11 @@ pub enum QueryError {
         /// Row count of the offending column.
         got: usize,
     },
+    /// A table was built with the same column name twice.
+    DuplicateColumn {
+        /// The repeated name.
+        column: String,
+    },
     /// The predicate references a column that has no secondary index.
     NoIndex {
         /// The column the predicate named.
@@ -92,6 +97,9 @@ impl fmt::Display for QueryError {
                 f,
                 "column '{column}' length mismatch: expected {expected} rows, got {got}"
             ),
+            QueryError::DuplicateColumn { column } => {
+                write!(f, "column '{column}' is named twice")
+            }
             QueryError::NoIndex { column } => write!(f, "no index on column '{column}'"),
             QueryError::NoColumn { column } => write!(f, "no column '{column}'"),
             QueryError::RidOutOfRange { rid, n_rows } => {
@@ -141,6 +149,7 @@ impl QueryError {
             QueryError::Storage(e) => e.is_retryable(),
             QueryError::EmptyTable
             | QueryError::ColumnLengthMismatch { .. }
+            | QueryError::DuplicateColumn { .. }
             | QueryError::NoIndex { .. }
             | QueryError::NoColumn { .. }
             | QueryError::RidOutOfRange { .. }
@@ -222,6 +231,7 @@ mod tests {
                 expected: 1,
                 got: 2,
             },
+            QueryError::DuplicateColumn { column: "c".into() },
             QueryError::NoIndex { column: "c".into() },
             QueryError::NoColumn { column: "c".into() },
             QueryError::RidOutOfRange { rid: 9, n_rows: 3 },

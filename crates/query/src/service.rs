@@ -265,11 +265,10 @@ pub struct QueryService<D: Disk> {
     engine: QueryEngine,
     cfg: ServiceConfig,
     obs: Observer,
-    /// Indexed tables cached per immutable [`TableImage`], keyed by Arc
-    /// pointer identity (a new generation of a table is a new image).
-    /// Each entry holds its image so the address cannot be freed and
-    /// reused by a later generation while the entry lives.
-    table_cache: HashMap<usize, (Arc<TableImage>, Arc<Table>)>,
+    /// The indexed table per table name, with the image it was built
+    /// from (holding the image keeps its address from being reused, so
+    /// pointer equality means "unchanged").
+    table_cache: HashMap<String, (Arc<TableImage>, Arc<Table>)>,
 }
 
 impl<D: Disk> QueryService<D> {
@@ -321,25 +320,40 @@ impl<D: Disk> QueryService<D> {
         self.store.view()
     }
 
-    /// Builds (or fetches from cache) the indexed table for an image.
-    fn indexed(&mut self, img: &Arc<TableImage>) -> Result<Arc<Table>, QueryError> {
-        let key = Arc::as_ptr(img) as usize;
-        if let Some((_, t)) = self.table_cache.get(&key) {
-            return Ok(Arc::clone(t));
+    /// The indexed table for the current image of a table in `view`.
+    /// An image that only appended rows to the cached one extends the
+    /// cached table in place; any other change (drop and recreate,
+    /// fewer rows, other columns) builds it again. Entries of tables no
+    /// longer in `view` are dropped.
+    fn indexed(
+        &mut self,
+        view: &StoreView,
+        img: &Arc<TableImage>,
+    ) -> Result<Arc<Table>, QueryError> {
+        self.table_cache
+            .retain(|name, _| view.table(name).is_some());
+        let entry = self.table_cache.get_mut(&img.name);
+        if let Some((cached, table)) = &entry {
+            if Arc::ptr_eq(cached, img) {
+                return Ok(Arc::clone(table));
+            }
         }
-        let cols: Vec<(&str, Vec<u32>)> = img
+        let cols: Vec<(&str, &[u32])> = img
             .columns
             .iter()
-            .map(|(n, v)| (n.as_str(), v.clone()))
+            .map(|(n, v)| (n.as_str(), v.as_slice()))
             .collect();
-        let table = Arc::new(Table::try_build(&img.name, &cols)?);
-        // A tiny cache is plenty and keeps the pinned images bounded
-        // under churn.
-        if self.table_cache.len() >= 32 {
-            self.table_cache.clear();
+        if let Some((cached, table)) = entry {
+            if table.is_prefix_of(&cols) {
+                Arc::make_mut(table).extend_to(&cols);
+                *cached = Arc::clone(img);
+                return Ok(Arc::clone(table));
+            }
         }
+        self.table_cache.remove(&img.name);
+        let table = Arc::new(Table::from_slices(&img.name, &cols)?);
         self.table_cache
-            .insert(key, (Arc::clone(img), Arc::clone(&table)));
+            .insert(img.name.clone(), (Arc::clone(img), Arc::clone(&table)));
         Ok(table)
     }
 
@@ -366,7 +380,7 @@ impl<D: Disk> QueryService<D> {
                         0,
                     );
                 };
-                let indexed = match self.indexed(img) {
+                let indexed = match self.indexed(&view, img) {
                     Ok(t) => t,
                     Err(e) => return (Err(e), 0),
                 };
@@ -656,6 +670,141 @@ mod tests {
         );
         r.unwrap();
         s
+    }
+
+    mod stale_cache {
+        use super::*;
+        use proptest::prelude::*;
+
+        const TABLES: [&str; 2] = ["a", "b"];
+
+        /// `n` values below `m` drawn from `seed`.
+        fn values(n: usize, seed: u32, m: u32) -> Vec<u32> {
+            let mut x = seed | 1;
+            (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 17;
+                    x ^= x << 5;
+                    x % m
+                })
+                .collect()
+        }
+
+        /// A new two-column table of `n` rows.
+        fn new_table(n: usize, seed: u32) -> Columns {
+            vec![
+                ("color".into(), values(n, seed, 4)),
+                ("size".into(), values(n, seed ^ 0x9E37_79B9, 8)),
+            ]
+        }
+
+        /// `n` rows in the schema of `cols`.
+        fn more(cols: &Columns, n: usize, seed: u32) -> Columns {
+            cols.iter()
+                .enumerate()
+                .map(|(k, (name, _))| (name.clone(), values(n, seed.wrapping_add(k as u32), 4)))
+                .collect()
+        }
+
+        /// The columns a recreate commits in place of `old`: longer,
+        /// shorter, an equal prefix with a new tail, the same rows, or
+        /// the same rows with the columns reordered or `region` added
+        /// or removed.
+        fn recreated(old: &Columns, variant: u8, n: usize, seed: u32) -> Columns {
+            let len = old[0].1.len();
+            let cut = len.min(n);
+            let prefix = |k: usize| -> Columns {
+                old.iter()
+                    .map(|(name, v)| (name.clone(), v[..k].to_vec()))
+                    .collect()
+            };
+            let join = |a: Columns, b: Columns| -> Columns {
+                a.into_iter()
+                    .zip(b)
+                    .map(|((name, mut v), (_, tail))| {
+                        v.extend(tail);
+                        (name, v)
+                    })
+                    .collect()
+            };
+            match variant % 6 {
+                0 => join(old.clone(), more(old, n, seed)),
+                1 => prefix(len - cut),
+                2 => join(prefix(len - cut), more(old, cut, seed)),
+                3 => old.clone(),
+                4 => old.iter().rev().cloned().collect(),
+                _ if old.iter().any(|(name, _)| name == "region") => old
+                    .iter()
+                    .filter(|(name, _)| name != "region")
+                    .cloned()
+                    .collect(),
+                _ => {
+                    let mut cols = old.clone();
+                    cols.push(("region".into(), values(len, seed, 3)));
+                    cols
+                }
+            }
+        }
+
+        fn run(s: &mut QueryService<MemDisk>, request: Request) -> Result<Reply, QueryError> {
+            s.execute(&request, None, None).0
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Each step is an op selector, a table, a row count and a
+            /// seed for the row values.
+            #[test]
+            fn the_cached_table_always_equals_a_fresh_build(
+                steps in proptest::collection::vec(
+                    (0u8..24, 0usize..2, 0usize..=16, any::<u32>()),
+                    10..60,
+                ),
+            ) {
+                let mut s = service(ServiceConfig::default());
+                for (i, &(op, t, n, seed)) in steps.iter().enumerate() {
+                    let table = TABLES[t].to_string();
+                    let old = s.view().table(&table).map(|img| img.columns.clone());
+                    let request = match (op, old) {
+                        (_, None) => Request::Create { table, columns: new_table(n * 3, seed) },
+                        (0..=7, Some(old)) => Request::Append { table, rows: more(&old, n, seed) },
+                        (8..=9, Some(_)) => Request::Drop { table },
+                        (10..=13, Some(old)) => {
+                            run(&mut s, Request::Drop { table: table.clone() }).unwrap();
+                            Request::Create { table, columns: recreated(&old, op, n, seed) }
+                        }
+                        (_, Some(_)) => Request::Query {
+                            table,
+                            predicate: Predicate::eq("color", seed % 4),
+                        },
+                    };
+                    let queried = match &request {
+                        Request::Query { table, .. } => Some(table.clone()),
+                        _ => None,
+                    };
+                    prop_assert!(run(&mut s, request).is_ok(), "step {}", i);
+                    let Some(queried) = queried else { continue };
+                    // Entries of dropped tables are gone; the queried
+                    // table's entry is exactly a fresh build of its image.
+                    let view = s.view();
+                    for name in s.table_cache.keys() {
+                        prop_assert!(view.table(name).is_some(), "step {}: {} was dropped", i, name);
+                    }
+                    let img = view.table(&queried).unwrap();
+                    let cols: Vec<(&str, Vec<u32>)> =
+                        img.columns.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
+                    prop_assert_eq!(
+                        s.table_cache[&queried].1.as_ref(),
+                        &Table::try_build(&queried, &cols).unwrap(),
+                        "step {}: the cached {} is stale",
+                        i,
+                        queried
+                    );
+                }
+            }
+        }
     }
 
     #[test]

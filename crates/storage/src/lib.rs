@@ -69,6 +69,13 @@ pub enum StorageError {
         /// The column names the append supplied.
         got: Vec<String>,
     },
+    /// A create names the same column twice.
+    DuplicateColumn {
+        /// The table being created.
+        table: String,
+        /// The repeated column name.
+        column: String,
+    },
     /// Columns in one batch have unequal lengths.
     ColumnLengthMismatch {
         /// The table involved.
@@ -131,6 +138,9 @@ impl std::fmt::Display for StorageError {
                 f,
                 "append to {table:?} supplies columns {got:?}, table has {expected:?}"
             ),
+            StorageError::DuplicateColumn { table, column } => {
+                write!(f, "create of {table:?} names column {column:?} twice")
+            }
             StorageError::ColumnLengthMismatch {
                 table,
                 column,
@@ -168,6 +178,10 @@ mod tests {
                 table: "t".into(),
                 expected: vec!["a".into()],
                 got: vec!["b".into()],
+            },
+            StorageError::DuplicateColumn {
+                table: "t".into(),
+                column: "a".into(),
             },
             StorageError::ColumnLengthMismatch {
                 table: "t".into(),

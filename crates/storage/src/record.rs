@@ -106,8 +106,10 @@ pub(crate) fn put_columns(out: &mut Vec<u8>, cols: &Columns) {
     for (name, vals) in cols {
         put_str(out, name);
         put_u32(out, vals.len() as u32);
-        for v in vals {
-            put_u32(out, *v);
+        let at = out.len();
+        out.resize(at + 4 * vals.len(), 0);
+        for (dst, v) in out[at..].chunks_exact_mut(4).zip(vals) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
     }
 }

@@ -54,16 +54,19 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Serializes to the on-disk file image.
+    /// Serializes to the on-disk file image. The body is encoded in
+    /// place after a 16-byte header whose length and CRC are filled in
+    /// last, so the image is built without a second copy.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&self.lsn.to_le_bytes());
-        record::put_tables(&mut body, &self.tables);
-        let mut out = Vec::with_capacity(16 + body.len());
+        let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
+        out.extend_from_slice(&[0; 8]);
+        out.extend_from_slice(&self.lsn.to_le_bytes());
+        record::put_tables(&mut out, &self.tables);
+        let body_len = out.len() - 16;
+        let crc = crc32(&out[16..]);
+        out[8..12].copy_from_slice(&(body_len as u32).to_le_bytes());
+        out[12..16].copy_from_slice(&crc.to_le_bytes());
         out
     }
 
@@ -101,16 +104,18 @@ impl Snapshot {
         Ok(Snapshot { lsn, tables })
     }
 
-    /// Writes the snapshot to `disk` and makes it durable.
-    pub fn write<D: Disk>(&self, disk: &mut D) -> Result<String, StorageError> {
+    /// Writes the snapshot to `disk` as [`snapshot_name`]`(lsn)` and
+    /// makes it durable. Returns the length of the image written.
+    pub fn write<D: Disk>(&self, disk: &mut D) -> Result<usize, StorageError> {
         let name = snapshot_name(self.lsn);
         if disk.exists(&name) {
             disk.remove(&name)?;
         }
         disk.create(&name, dbx_faults::StorageFileClass::Snapshot)?;
-        disk.append(&name, &self.encode())?;
+        let image = self.encode();
+        disk.append(&name, &image)?;
         disk.fsync(&name)?;
-        Ok(name)
+        Ok(image.len())
     }
 
     /// Loads the newest valid snapshot from `disk`, skipping damaged

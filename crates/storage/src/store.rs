@@ -36,7 +36,7 @@ use crate::snapshot::{snapshot_name, Snapshot};
 use crate::wal::Wal;
 use crate::StorageError;
 use dbx_observe::{ArgValue, Observer, TrackId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Fixed span-cost model: every storage span costs `SPAN_BASE + bytes`
@@ -352,8 +352,7 @@ impl<D: Disk> Store<D> {
             lsn: self.generation,
             tables: self.tables.clone(),
         };
-        let image_len = snap.encode().len() as u64;
-        snap.write(&mut self.disk)?;
+        let image_len = snap.write(&mut self.disk)? as u64;
         self.wal.rotate(&mut self.disk)?;
         self.commits_since_snapshot = 0;
         self.obs
@@ -398,6 +397,7 @@ fn apply_op(
             if tables.contains_key(name) {
                 return Err(StorageError::DuplicateTable { name: name.clone() });
             }
+            check_distinct_names(name, columns)?;
             check_equal_lengths(name, columns)?;
             tables.insert(
                 name.clone(),
@@ -441,6 +441,19 @@ fn apply_op(
             if tables.remove(name).is_none() {
                 return Err(StorageError::UnknownTable { name: name.clone() });
             }
+        }
+    }
+    Ok(())
+}
+
+fn check_distinct_names(table: &str, cols: &Columns) -> Result<(), StorageError> {
+    let mut seen = BTreeSet::new();
+    for (cname, _) in cols {
+        if !seen.insert(cname.as_str()) {
+            return Err(StorageError::DuplicateColumn {
+                table: table.to_string(),
+                column: cname.clone(),
+            });
         }
     }
     Ok(())
@@ -588,6 +601,16 @@ mod tests {
             store.commit(txn),
             Err(StorageError::ColumnMismatch { .. })
         ));
+        // A column named twice.
+        let mut txn = store.begin();
+        txn.create_table("d", vec![("a".into(), vec![1]), ("a".into(), vec![2])]);
+        assert_eq!(
+            store.commit(txn),
+            Err(StorageError::DuplicateColumn {
+                table: "d".into(),
+                column: "a".into()
+            })
+        );
         // Ragged columns.
         let mut txn = store.begin();
         txn.create_table("r", vec![("a".into(), vec![1]), ("b".into(), vec![1, 2])]);
@@ -608,6 +631,30 @@ mod tests {
         assert_eq!(
             store.disk().read(&store.wal.open_segment_name()).unwrap(),
             wal_before
+        );
+    }
+
+    #[test]
+    fn replay_rejects_a_logged_duplicate_column() {
+        // A log written before creates were checked for repeated names
+        // fails to open with the same typed error a commit gets.
+        let mut disk = MemDisk::new();
+        let mut wal = Wal::new(1);
+        let rec = WalRecord {
+            lsn: 1,
+            ops: vec![TableOp::Create {
+                name: "d".into(),
+                columns: vec![("a".into(), vec![1]), ("a".into(), vec![2])],
+            }],
+        };
+        wal.append(&mut disk, &rec).unwrap();
+        wal.sync(&mut disk).unwrap();
+        assert_eq!(
+            Store::open(disk, StoreOptions::default()).unwrap_err(),
+            StorageError::DuplicateColumn {
+                table: "d".into(),
+                column: "a".into()
+            }
         );
     }
 
@@ -725,6 +772,87 @@ mod tests {
             sink.counter_value(TrackId::Host, "storage.frames_replayed"),
             Some(0.0)
         );
+    }
+
+    #[test]
+    fn the_bytes_of_a_fixed_history_are_pinned() {
+        // (file, length, CRC-32) of every WAL segment and snapshot after a
+        // fixed history, recorded before the sliced CRC, the in-place
+        // snapshot encode and the delta fsync: none of them may move a
+        // byte.
+        let mut store = Store::open(
+            MemDisk::new(),
+            StoreOptions {
+                snapshot_every: 3,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let rows = |n: u32, seed: u32| -> Columns {
+            ["a", "b", "c"]
+                .iter()
+                .zip(seed..)
+                .map(|(name, s)| {
+                    let vals = (0..n).map(|i| i.wrapping_mul(2_654_435_761).rotate_left(s));
+                    (name.to_string(), vals.collect())
+                })
+                .collect()
+        };
+        let ops = [
+            TableOp::Create {
+                name: "t0".into(),
+                columns: rows(300, 1),
+            },
+            TableOp::Create {
+                name: "t1".into(),
+                columns: rows(200, 5),
+            },
+            TableOp::Append {
+                name: "t0".into(),
+                rows: rows(7, 9),
+            },
+            TableOp::Drop { name: "t1".into() },
+            TableOp::Create {
+                name: "t1".into(),
+                columns: rows(50, 13),
+            },
+            TableOp::Append {
+                name: "t1".into(),
+                rows: rows(16, 17),
+            },
+            TableOp::Append {
+                name: "t0".into(),
+                rows: rows(1, 21),
+            },
+        ];
+        for op in ops {
+            let mut txn = store.begin();
+            txn.push(op);
+            store.commit(txn).unwrap();
+        }
+        let disk = store.into_disk();
+        let files: Vec<(String, usize, u32)> = disk
+            .list()
+            .into_iter()
+            .map(|name| {
+                let bytes = disk.read(&name).unwrap();
+                assert_eq!(disk.durable_image(&name).unwrap(), bytes.as_slice());
+                let crc = crate::crc::crc32(&bytes);
+                (name, bytes.len(), crc)
+            })
+            .collect();
+        let pinned = [
+            ("snap-0000000000000003.img", 6186, 2_948_202_284),
+            ("snap-0000000000000006.img", 4578, 1_960_152_871),
+            ("wal-00000001.seg", 6258, 3_537_399_865),
+            ("wal-00000002.seg", 935, 351_927_782),
+            ("wal-00000003.seg", 70, 153_063_457),
+        ];
+        let pinned: Vec<(String, usize, u32)> = pinned
+            .iter()
+            .map(|&(name, len, crc)| (name.to_string(), len, crc))
+            .collect();
+        assert_eq!(files, pinned);
     }
 
     #[test]
