@@ -4,15 +4,16 @@
 //!
 //! The core idea of [`MemDisk`] is that every file has **two** byte
 //! images: `data`, the page-cache view that reads and writes touch, and
-//! `durable`, the image that survives [`MemDisk::crash`]. Only
-//! [`Disk::fsync`] moves bytes from the first to the second — exactly
-//! the contract a real OS gives a write-ahead log. Storage faults from
-//! [`dbx_faults::storage`] are applied at the I/O boundary: a torn write
-//! clips the buffer, a bit flip corrupts it in transit, a dropped fsync
-//! reports success without durabilizing, a truncation cuts the durable
-//! image. Because faults are consumed by (file class, I/O index), the
-//! same plan against the same operation sequence always corrupts the
-//! same bytes on every host.
+//! the durable image that survives [`MemDisk::crash`]. Only
+//! [`Disk::fsync`] moves the durable image forward — exactly the
+//! contract a real OS gives a write-ahead log. Every operation keeps the
+//! durable image a prefix of `data`, so it is stored as a length and a
+//! fsync copies nothing. Storage faults from [`dbx_faults::storage`] are
+//! applied at the I/O boundary: a torn write clips the buffer, a bit
+//! flip corrupts it in transit, a dropped fsync reports success without
+//! durabilizing, a truncation cuts the durable image. Because faults are
+//! consumed by (file class, I/O index), the same plan against the same
+//! operation sequence always corrupts the same bytes on every host.
 
 use crate::StorageError;
 use dbx_faults::{StorageFaultKind, StorageFaultPlan, StorageFileClass};
@@ -37,7 +38,9 @@ pub trait Disk {
     fn read(&self, name: &str) -> Result<Vec<u8>, StorageError>;
     /// All file names, sorted (so directory iteration is deterministic).
     fn list(&self) -> Vec<String>;
-    /// Whether the file exists.
+    /// Whether the file exists. The default lists every file on the
+    /// disk; it exists only so thin wrappers need not forward it, and
+    /// every backend of this crate answers with one lookup.
     fn exists(&self, name: &str) -> bool {
         self.list().iter().any(|n| n == name)
     }
@@ -48,9 +51,10 @@ struct MemFile {
     class: Option<StorageFileClass>,
     /// The page-cache view: what reads see.
     data: Vec<u8>,
-    /// The image that survives a crash: advanced only by fsync. Always
-    /// a prefix of `data`.
-    durable: Vec<u8>,
+    /// Length of the image that survives a crash, `data[..durable]`:
+    /// advanced only by fsync, cut by truncation. Every operation keeps
+    /// the durable image a prefix of `data`.
+    durable: usize,
 }
 
 /// The deterministic in-memory disk.
@@ -92,13 +96,13 @@ impl MemDisk {
     /// durable image. Files never fsynced come back empty.
     pub fn crash(&mut self) {
         for f in self.files.values_mut() {
-            f.data = f.durable.clone();
+            f.data.truncate(f.durable);
         }
     }
 
     /// The durable image of a file (what a crash would leave behind).
     pub fn durable_image(&self, name: &str) -> Option<&[u8]> {
-        self.files.get(name).map(|f| f.durable.as_slice())
+        self.files.get(name).map(|f| &f.data[..f.durable])
     }
 
     /// Overwrites both images of a file — campaigns use this to build
@@ -108,8 +112,8 @@ impl MemDisk {
             name.to_string(),
             MemFile {
                 class: Some(class),
-                data: bytes.clone(),
-                durable: bytes,
+                durable: bytes.len(),
+                data: bytes,
             },
         );
     }
@@ -178,7 +182,7 @@ impl Disk for MemDisk {
     fn truncate(&mut self, name: &str, len: usize) -> Result<(), StorageError> {
         let f = self.file_mut(name)?;
         f.data.truncate(len);
-        f.durable.truncate(len);
+        f.durable = f.durable.min(len);
         Ok(())
     }
 
@@ -192,8 +196,7 @@ impl Disk for MemDisk {
                     StorageFaultKind::DroppedFsync => return Ok(()), // lies
                     StorageFaultKind::Truncate { keep_bytes } => {
                         let f = self.file_mut(name)?;
-                        let keep = keep_bytes.min(f.data.len());
-                        f.durable = f.data[..keep].to_vec();
+                        f.durable = keep_bytes.min(f.data.len());
                         return Ok(());
                     }
                     // Write-shaped events on an fsync index: no effect.
@@ -201,15 +204,8 @@ impl Disk for MemDisk {
                 }
             }
         }
-        // Every operation keeps `durable` a prefix of `data`, so only
-        // the bytes written since the last fsync need copying. The exact
-        // reservation keeps the image as small as a full copy would be
-        // (doubling growth cost the serve benchmark 7% of its peak RSS).
         let f = self.file_mut(name)?;
-        debug_assert!(f.data.starts_with(&f.durable));
-        let synced = f.durable.len();
-        f.durable.reserve_exact(f.data.len() - synced);
-        f.durable.extend_from_slice(&f.data[synced..]);
+        f.durable = f.data.len();
         Ok(())
     }
 
@@ -231,6 +227,10 @@ impl Disk for MemDisk {
 
     fn list(&self) -> Vec<String> {
         self.files.keys().cloned().collect()
+    }
+
+    fn exists(&self, name: &str) -> bool {
+        self.files.contains_key(name)
     }
 }
 
@@ -316,6 +316,10 @@ impl Disk for DirDisk {
             .unwrap_or_default();
         names.sort();
         names
+    }
+
+    fn exists(&self, name: &str) -> bool {
+        self.path(name).is_file()
     }
 }
 

@@ -24,7 +24,7 @@ use crate::crc::crc32;
 use crate::disk::Disk;
 use crate::record::{self, Cursor, TableImage};
 use crate::StorageError;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Snapshot file magic.
@@ -42,6 +42,20 @@ pub fn parse_snapshot_name(name: &str) -> Option<u64> {
         return None;
     }
     digits.parse().ok()
+}
+
+/// What [`Snapshot::load_latest`] found on a disk.
+#[derive(Debug, Clone, Default)]
+pub struct LoadedSnapshot {
+    /// The newest snapshot that validated, if any.
+    pub snapshot: Option<Snapshot>,
+    /// Length of that snapshot's file image (0 without one).
+    pub image_len: usize,
+    /// Damaged files skipped on the way, newest first.
+    pub skipped: Vec<String>,
+    /// The LSN of every snapshot file on the disk, damaged ones
+    /// included: what [`Snapshot::write`] checks before it writes.
+    pub on_disk: BTreeSet<u64>,
 }
 
 /// A decoded, validated snapshot.
@@ -105,13 +119,21 @@ impl Snapshot {
     }
 
     /// Writes the snapshot to `disk` as [`snapshot_name`]`(lsn)` and
-    /// makes it durable. Returns the length of the image written.
-    pub fn write<D: Disk>(&self, disk: &mut D) -> Result<usize, StorageError> {
+    /// makes it durable. `on_disk` holds the LSNs of the snapshot files
+    /// on `disk` (see [`LoadedSnapshot::on_disk`]); a file already there
+    /// for this LSN is removed first, and the set gains this LSN. Returns
+    /// the length of the image written.
+    pub fn write<D: Disk>(
+        &self,
+        disk: &mut D,
+        on_disk: &mut BTreeSet<u64>,
+    ) -> Result<usize, StorageError> {
         let name = snapshot_name(self.lsn);
-        if disk.exists(&name) {
+        if on_disk.remove(&self.lsn) {
             disk.remove(&name)?;
         }
         disk.create(&name, dbx_faults::StorageFileClass::Snapshot)?;
+        on_disk.insert(self.lsn);
         let image = self.encode();
         disk.append(&name, &image)?;
         disk.fsync(&name)?;
@@ -119,23 +141,36 @@ impl Snapshot {
     }
 
     /// Loads the newest valid snapshot from `disk`, skipping damaged
-    /// files (newest-first). Returns the snapshot plus the names of
-    /// files it had to skip.
-    pub fn load_latest<D: Disk>(disk: &D) -> (Option<Snapshot>, Vec<String>) {
-        let mut names: Vec<(u64, String)> = disk
+    /// files (newest-first), and notes every snapshot file it listed.
+    pub fn load_latest<D: Disk>(disk: &D) -> LoadedSnapshot {
+        let on_disk: BTreeSet<u64> = disk
             .list()
-            .into_iter()
-            .filter_map(|n| parse_snapshot_name(&n).map(|l| (l, n)))
+            .iter()
+            .filter_map(|n| parse_snapshot_name(n))
             .collect();
-        names.sort();
         let mut skipped = Vec::new();
-        for (_, name) in names.into_iter().rev() {
-            match disk.read(&name).and_then(|b| Snapshot::decode(&b)) {
-                Ok(snap) => return (Some(snap), skipped),
+        for &lsn in on_disk.iter().rev() {
+            let name = snapshot_name(lsn);
+            match disk
+                .read(&name)
+                .and_then(|b| Snapshot::decode(&b).map(|snap| (snap, b.len())))
+            {
+                Ok((snap, image_len)) => {
+                    return LoadedSnapshot {
+                        snapshot: Some(snap),
+                        image_len,
+                        skipped,
+                        on_disk,
+                    }
+                }
                 Err(e) => skipped.push(format!("{name}: {e}")),
             }
         }
-        (None, skipped)
+        LoadedSnapshot {
+            skipped,
+            on_disk,
+            ..LoadedSnapshot::default()
+        }
     }
 }
 
@@ -197,8 +232,9 @@ mod tests {
     #[test]
     fn load_latest_skips_damaged_files() {
         let mut disk = MemDisk::new();
-        sample(5).write(&mut disk).unwrap();
-        sample(9).write(&mut disk).unwrap();
+        let mut on_disk = BTreeSet::new();
+        sample(5).write(&mut disk, &mut on_disk).unwrap();
+        sample(9).write(&mut disk, &mut on_disk).unwrap();
         // Damage the newest one: load must fall back to lsn 5.
         let mut bytes = disk.read(&snapshot_name(9)).unwrap();
         let cut = bytes.len() / 2;
@@ -208,16 +244,22 @@ mod tests {
             dbx_faults::StorageFileClass::Snapshot,
             bytes,
         );
-        let (snap, skipped) = Snapshot::load_latest(&disk);
-        assert_eq!(snap.unwrap().lsn, 5);
-        assert_eq!(skipped.len(), 1);
-        assert!(skipped[0].starts_with(&snapshot_name(9)));
+        let loaded = Snapshot::load_latest(&disk);
+        assert_eq!(loaded.snapshot.unwrap().lsn, 5);
+        assert_eq!(
+            loaded.image_len,
+            disk.read(&snapshot_name(5)).unwrap().len()
+        );
+        assert_eq!(loaded.skipped.len(), 1);
+        assert!(loaded.skipped[0].starts_with(&snapshot_name(9)));
+        assert_eq!(loaded.on_disk, on_disk);
     }
 
     #[test]
     fn load_latest_empty_disk() {
-        let (snap, skipped) = Snapshot::load_latest(&MemDisk::new());
-        assert!(snap.is_none());
-        assert!(skipped.is_empty());
+        let loaded = Snapshot::load_latest(&MemDisk::new());
+        assert!(loaded.snapshot.is_none());
+        assert!(loaded.skipped.is_empty());
+        assert!(loaded.on_disk.is_empty());
     }
 }

@@ -32,7 +32,7 @@
 
 use crate::disk::Disk;
 use crate::record::{self, Columns, TableImage, TableOp, WalRecord};
-use crate::snapshot::{snapshot_name, Snapshot};
+use crate::snapshot::Snapshot;
 use crate::wal::Wal;
 use crate::StorageError;
 use dbx_observe::{ArgValue, Observer, TrackId};
@@ -188,6 +188,9 @@ pub struct Store<D: Disk> {
     commits_since_snapshot: u64,
     recovery: RecoveryReport,
     last_commit_pos: Option<(String, usize)>,
+    /// LSNs of the snapshot files on the disk: listed once by recovery,
+    /// kept current by [`Snapshot::write`].
+    snapshots: BTreeSet<u64>,
 }
 
 impl<D: Disk> Store<D> {
@@ -199,20 +202,14 @@ impl<D: Disk> Store<D> {
         let mut report = RecoveryReport::default();
 
         // 1. Newest valid snapshot, or the empty state.
-        let (snap, skipped) = Snapshot::load_latest(&disk);
-        report.snapshots_skipped = skipped;
-        let (mut tables, snap_lsn) = match snap {
+        let loaded = Snapshot::load_latest(&disk);
+        report.snapshots_skipped = loaded.skipped;
+        let (mut tables, snap_lsn) = match loaded.snapshot {
             Some(s) => (s.tables, s.lsn),
             None => (BTreeMap::new(), 0),
         };
         report.snapshot_lsn = snap_lsn;
-        let snap_bytes = if snap_lsn > 0 {
-            disk.read(&snapshot_name(snap_lsn))
-                .map(|b| b.len())
-                .unwrap_or(0) as u64
-        } else {
-            0
-        };
+        let snap_bytes = loaded.image_len as u64;
         obs.place("snapshot.load", "storage", SPAN_BASE + snap_bytes, || {
             vec![
                 ("lsn", ArgValue::U64(snap_lsn)),
@@ -222,6 +219,7 @@ impl<D: Disk> Store<D> {
 
         // 2. Replay the WAL suffix, repairing torn tails.
         let replay = Wal::replay(&mut disk, snap_lsn)?;
+        let wal = Wal::resume(&replay);
         report.frames_replayed = replay.frames_replayed;
         report.frames_truncated = replay.frames_truncated;
         report.wal_damage = replay.damage;
@@ -249,7 +247,7 @@ impl<D: Disk> Store<D> {
 
         Ok(Store {
             disk,
-            wal: Wal::new(replay.last_segment.max(1)),
+            wal,
             generation,
             tables,
             opts,
@@ -257,12 +255,16 @@ impl<D: Disk> Store<D> {
             commits_since_snapshot: 0,
             recovery: report,
             last_commit_pos: None,
+            snapshots: loaded.on_disk,
         })
     }
 
     /// Where the most recent commit's frame landed: `(segment name, end
     /// offset within the segment)`. Crash campaigns use this to map
-    /// byte offsets back to commit boundaries.
+    /// byte offsets back to commit boundaries. The offset is the WAL's
+    /// own count of the segment's bytes, so it equals the segment's
+    /// length whenever the disk stores what it is given; under a torn
+    /// write or a bit flip it is the length the store meant to write.
     pub fn last_commit_position(&self) -> Option<&(String, usize)> {
         self.last_commit_pos.as_ref()
     }
@@ -323,9 +325,7 @@ impl<D: Disk> Store<D> {
         };
         let bytes = self.wal.append(&mut self.disk, &rec)? as u64;
         self.wal.sync(&mut self.disk)?;
-        let seg = self.wal.open_segment_name();
-        let end = self.disk.read(&seg).map(|b| b.len()).unwrap_or(0);
-        self.last_commit_pos = Some((seg, end));
+        self.last_commit_pos = Some((self.wal.open_segment_name(), self.wal.open_segment_len()));
         self.obs
             .place("wal.append", "storage", SPAN_BASE + bytes, || {
                 vec![
@@ -352,7 +352,7 @@ impl<D: Disk> Store<D> {
             lsn: self.generation,
             tables: self.tables.clone(),
         };
-        let image_len = snap.write(&mut self.disk)? as u64;
+        let image_len = snap.write(&mut self.disk, &mut self.snapshots)? as u64;
         self.wal.rotate(&mut self.disk)?;
         self.commits_since_snapshot = 0;
         self.obs
@@ -479,6 +479,9 @@ fn check_equal_lengths(table: &str, cols: &Columns) -> Result<(), StorageError> 
 mod tests {
     use super::*;
     use crate::disk::MemDisk;
+    use crate::snapshot::snapshot_name;
+    use dbx_faults::StorageFileClass;
+    use std::cell::Cell;
 
     fn open_empty() -> Store<MemDisk> {
         Store::open(MemDisk::new(), StoreOptions::default()).unwrap()
@@ -853,6 +856,102 @@ mod tests {
             .map(|&(name, len, crc)| (name.to_string(), len, crc))
             .collect();
         assert_eq!(files, pinned);
+    }
+
+    /// A [`MemDisk`] wrapper that implements only the required [`Disk`]
+    /// methods (so `exists` is the listing default) and counts the calls
+    /// that list or read.
+    struct ListReadCounter {
+        inner: MemDisk,
+        lists: Cell<u64>,
+        reads: Cell<u64>,
+    }
+
+    impl Disk for ListReadCounter {
+        fn create(&mut self, name: &str, class: StorageFileClass) -> Result<(), StorageError> {
+            self.inner.create(name, class)
+        }
+        fn append(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError> {
+            self.inner.append(name, data)
+        }
+        fn truncate(&mut self, name: &str, len: usize) -> Result<(), StorageError> {
+            self.inner.truncate(name, len)
+        }
+        fn fsync(&mut self, name: &str) -> Result<(), StorageError> {
+            self.inner.fsync(name)
+        }
+        fn remove(&mut self, name: &str) -> Result<(), StorageError> {
+            self.inner.remove(name)
+        }
+        fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
+            self.reads.set(self.reads.get() + 1);
+            self.inner.read(name)
+        }
+        fn list(&self) -> Vec<String> {
+            self.lists.set(self.lists.get() + 1);
+            self.inner.list()
+        }
+    }
+
+    #[test]
+    fn commits_neither_list_nor_read_the_disk() {
+        // Reopen a store with history (two snapshots, and a damaged file
+        // where the next snapshot will go, which it must replace) and run
+        // a fault-free history of creates, appends and drops across eight
+        // snapshot rotations.
+        let opts = || StoreOptions {
+            snapshot_every: 8,
+            ..Default::default()
+        };
+        let mut store = Store::open(MemDisk::new(), opts()).unwrap();
+        for i in 0..19u32 {
+            let mut txn = store.begin();
+            match i {
+                0 => txn.create_table("t", cols(&[0])),
+                _ => txn.append_rows("t", cols(&[i])),
+            };
+            store.commit(txn).unwrap();
+        }
+        let mut disk = store.into_disk();
+        disk.set_file(
+            &snapshot_name(27),
+            StorageFileClass::Snapshot,
+            b"torn".to_vec(),
+        );
+        let disk = ListReadCounter {
+            inner: disk,
+            lists: Cell::new(0),
+            reads: Cell::new(0),
+        };
+        let mut store = Store::open(disk, opts()).unwrap();
+        assert_eq!(store.generation(), 19);
+        assert_eq!(store.recovery().snapshots_skipped.len(), 1);
+        let (lists, reads) = (store.disk().lists.get(), store.disk().reads.get());
+        assert!(lists > 0 && reads > 0, "recovery lists and reads");
+
+        for i in 0..64u32 {
+            let mut txn = store.begin();
+            match i % 4 {
+                0 => txn.create_table(&format!("u{i}"), cols(&[i, i + 1])),
+                3 => txn.drop_table(&format!("u{}", i - 3)),
+                _ => txn.append_rows("t", cols(&[i])),
+            };
+            store.commit(txn).unwrap();
+            let (seg, end) = store.last_commit_position().unwrap().clone();
+            let on_disk = store.disk().inner.read(&seg).unwrap().len();
+            assert_eq!(end, on_disk, "commit {i}: position in {seg}");
+        }
+        assert_eq!(store.disk().lists.get(), lists, "a commit listed the disk");
+        assert_eq!(store.disk().reads.get(), reads, "a commit read the disk");
+
+        // The history is whole: the rewritten snapshot at 27 validates,
+        // and recovery from the final disk lands on the same state.
+        let digest = store.state_digest();
+        let disk = store.into_disk().inner;
+        assert!(Snapshot::load_latest(&disk).skipped.is_empty());
+        let reopened = Store::open(disk, StoreOptions::default()).unwrap();
+        assert_eq!(reopened.recovery().snapshot_lsn, 83);
+        assert_eq!(reopened.state_digest(), digest);
     }
 
     #[test]

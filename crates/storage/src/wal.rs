@@ -133,22 +133,47 @@ pub struct WalReplay {
     pub frames_truncated: u64,
     /// Highest segment sequence number seen (0 when the chain is empty).
     pub last_segment: u64,
+    /// Byte length of that segment once replay is done with it (after
+    /// any truncation of a damaged tail).
+    pub last_segment_len: usize,
     /// Human-readable damage descriptions, if any.
     pub damage: Vec<String>,
 }
 
-/// The write side of the log: tracks the open segment.
+/// The write side of the log: tracks the open segment, so a commit
+/// neither lists the disk to learn whether the segment exists nor reads
+/// it back to learn its length.
 #[derive(Debug, Clone)]
 pub struct Wal {
     /// Sequence number of the segment new frames go to.
     open_segment: u64,
+    /// Bytes in the open segment, or `None` while its file does not
+    /// exist (the first append creates it). Every segment past the open
+    /// one is absent: replay deletes those after damage, and rotation
+    /// only ever moves to a new, higher number.
+    open_len: Option<usize>,
 }
 
 impl Wal {
-    /// Starts (or resumes) a log whose newest segment is `open_segment`.
+    /// Starts a log on a disk that holds no segment numbered
+    /// `open_segment` or higher: the first append creates it.
     pub fn new(open_segment: u64) -> Self {
         Wal {
             open_segment: open_segment.max(1),
+            open_len: None,
+        }
+    }
+
+    /// Resumes the log that `replay` recovered: new frames go after the
+    /// bytes replay kept in the newest segment (segment 1 on an empty
+    /// chain). Asks the disk nothing — replay already listed and read it.
+    pub fn resume(replay: &WalReplay) -> Self {
+        if replay.last_segment == 0 {
+            return Wal::new(1);
+        }
+        Wal {
+            open_segment: replay.last_segment,
+            open_len: Some(replay.last_segment_len),
         }
     }
 
@@ -160,6 +185,13 @@ impl Wal {
     /// Name of the segment currently receiving appends.
     pub fn open_segment_name(&self) -> String {
         segment_name(self.open_segment)
+    }
+
+    /// Bytes in the open segment: what recovery kept plus every frame
+    /// appended since. Equals the file's length whenever the disk stores
+    /// what it is given (a torn write or bit flip makes them differ).
+    pub fn open_segment_len(&self) -> usize {
+        self.open_len.unwrap_or(0)
     }
 
     /// Lists the chain's segment names on `disk`, in log order.
@@ -182,18 +214,23 @@ impl Wal {
     ) -> Result<usize, StorageError> {
         let frame = encode_frame(&rec.encode());
         let name = self.open_segment_name();
-        if !disk.exists(&name) {
-            disk.create(&name, dbx_faults::StorageFileClass::Wal)?;
-        }
+        let len = match self.open_len {
+            Some(len) => len,
+            None => {
+                disk.create(&name, dbx_faults::StorageFileClass::Wal)?;
+                0
+            }
+        };
         disk.append(&name, &frame)?;
+        self.open_len = Some(len + frame.len());
         Ok(frame.len())
     }
 
-    /// Makes the open segment durable.
+    /// Makes the open segment durable (nothing to do before its first
+    /// frame).
     pub fn sync<D: Disk>(&mut self, disk: &mut D) -> Result<(), StorageError> {
-        let name = self.open_segment_name();
-        if disk.exists(&name) {
-            disk.fsync(&name)?;
+        if self.open_len.is_some() {
+            disk.fsync(&self.open_segment_name())?;
         }
         Ok(())
     }
@@ -203,6 +240,7 @@ impl Wal {
     pub fn rotate<D: Disk>(&mut self, disk: &mut D) -> Result<(), StorageError> {
         self.sync(disk)?;
         self.open_segment += 1;
+        self.open_len = None;
         Ok(())
     }
 
@@ -233,6 +271,7 @@ impl Wal {
             let bytes = disk.read(&name)?;
             let mut scan = scan_segment(&bytes);
             out.last_segment = seq;
+            out.last_segment_len = bytes.len();
             for rec in std::mem::take(&mut scan.records) {
                 if rec.lsn <= after_lsn {
                     continue;
@@ -260,6 +299,7 @@ impl Wal {
                 }
                 disk.truncate(&name, scan.valid_len)?;
                 disk.fsync(&name)?;
+                out.last_segment_len = scan.valid_len;
                 stop = true;
             }
         }
@@ -359,6 +399,42 @@ mod tests {
             let prefix_end = ends.iter().rev().find(|&&e| e <= cut).copied().unwrap_or(0);
             assert_eq!(d.read("wal-00000001.seg").unwrap().len(), prefix_end);
         }
+    }
+
+    #[test]
+    fn resume_counts_the_bytes_replay_kept() {
+        let mut disk = MemDisk::new();
+        let mut wal = Wal::new(1);
+        wal.append(&mut disk, &rec(1)).unwrap();
+        wal.rotate(&mut disk).unwrap();
+        wal.append(&mut disk, &rec(2)).unwrap();
+        wal.append(&mut disk, &rec(3)).unwrap();
+        wal.sync(&mut disk).unwrap();
+        assert_eq!(
+            wal.open_segment_len(),
+            disk.read("wal-00000002.seg").unwrap().len()
+        );
+        // Tear the newest segment mid-frame: replay cuts it back to one
+        // frame, and the resumed log appends after that frame.
+        let mut image = disk.read("wal-00000002.seg").unwrap();
+        image.truncate(image.len() - 3);
+        disk.set_file("wal-00000002.seg", dbx_faults::StorageFileClass::Wal, image);
+        let replay = Wal::replay(&mut disk, 0).unwrap();
+        assert_eq!(replay.frames_truncated, 1);
+        let mut wal = Wal::resume(&replay);
+        assert_eq!(wal.open_segment(), 2);
+        assert_eq!(
+            wal.open_segment_len(),
+            disk.read("wal-00000002.seg").unwrap().len()
+        );
+        wal.append(&mut disk, &rec(3)).unwrap();
+        assert_eq!(
+            wal.open_segment_len(),
+            disk.read("wal-00000002.seg").unwrap().len()
+        );
+        // An empty chain resumes at a segment 1 that does not exist yet.
+        let wal = Wal::resume(&Wal::replay(&mut MemDisk::new(), 0).unwrap());
+        assert_eq!((wal.open_segment(), wal.open_segment_len()), (1, 0));
     }
 
     #[test]
