@@ -16,7 +16,6 @@
 use crate::error::SimError;
 use crate::isa::OpArgs;
 use crate::memsys::MemorySystem;
-use crate::queue::TieQueue;
 use crate::stats::EventCounters;
 
 /// Which load–store unit(s) an op is wired to — used for structural checks
@@ -70,18 +69,10 @@ pub struct TieCtx<'a> {
     pub mem: &'a mut MemorySystem,
     /// Event counters (activity for the power model).
     pub counters: &'a mut EventCounters,
-    /// TIE queues attached to the processor (Section 3.2's external
-    /// FIFO interfaces). Empty unless the system attached some.
-    pub queues: &'a mut [TieQueue],
 }
 
 /// A pluggable instruction-set extension.
-///
-/// `Send` is a supertrait so a whole [`crate::Processor`] (which owns its
-/// extension as a boxed trait object) can migrate between host threads —
-/// the host-parallel shard scheduler builds per-core simulator instances
-/// inside worker threads and joins their results on the driver thread.
-pub trait Extension: Send {
+pub trait Extension {
     /// Extension name (reports, synthesis).
     fn name(&self) -> &'static str;
 
@@ -252,7 +243,6 @@ mod tests {
             ar: &mut ar,
             mem: &mut mem,
             counters: &mut ctr,
-            queues: &mut [],
         };
         ext.execute(
             &[(AccumulatorExt::ADD, OpArgs { r: 0, s: 3, imm: 0 })],
@@ -278,7 +268,6 @@ mod tests {
                 ar: &mut ar,
                 mem: &mut mem,
                 counters: &mut ctr,
-                queues: &mut [],
             };
             // RD and ADD in the same bundle: RD must observe the OLD value
             // (0), while ADD commits 7 for the next cycle.
@@ -309,7 +298,6 @@ mod tests {
             ar: &mut ar,
             mem: &mut mem,
             counters: &mut ctr,
-            queues: &mut [],
         };
         let e = ext
             .execute(
@@ -334,7 +322,6 @@ mod tests {
             ar: &mut ar,
             mem: &mut mem,
             counters: &mut ctr,
-            queues: &mut [],
         };
         ext.execute(
             &[(AccumulatorExt::LD32, OpArgs { r: 0, s: 2, imm: 0 })],
@@ -356,6 +343,7 @@ mod tests {
         let ext = AccumulatorExt::default();
         assert_eq!(ext.op_by_name("acc.rd"), Some(AccumulatorExt::RD));
         assert_eq!(ext.op_by_name("acc.nope"), None);
+        assert!(ext.op_descriptor(ext.op_count()).is_err());
     }
 
     #[test]
@@ -368,7 +356,6 @@ mod tests {
             ar: &mut ar,
             mem: &mut mem,
             counters: &mut ctr,
-            queues: &mut [],
         };
         ext.execute(
             &[(AccumulatorExt::ADD, OpArgs { r: 0, s: 3, imm: 0 })],

@@ -21,7 +21,9 @@
 //! * [`profiler`] — cycle-accurate hotspot profiling (tool-flow step 1).
 //!
 //! The DB-specific instruction set lives in `dbx-core` and plugs in via
-//! [`ext::Extension`]; this crate stays application-agnostic.
+//! [`ext::Extension`]; it is the framework's one production user, and
+//! [`ext::AccumulatorExt`] is its test implementor. This crate stays
+//! application-agnostic.
 
 pub mod config;
 pub(crate) mod decode;
@@ -34,7 +36,6 @@ pub mod observe;
 pub mod predictor;
 pub mod profiler;
 pub mod program;
-pub mod queue;
 pub mod sim;
 pub mod stats;
 pub mod trace;
@@ -47,7 +48,6 @@ pub use observe::emit_kernel_run;
 pub use predictor::PredictorKind;
 pub use profiler::{Hotspot, Profile, ProfileMode, ProfileSnapshot};
 pub use program::{Program, ProgramBuilder, DMEM0_BASE, DMEM1_BASE, IMEM_BASE, SYSMEM_BASE};
-pub use queue::TieQueue;
 pub use sim::{Processor, StepOutcome};
 pub use stats::{EventCounters, RunStats};
 pub use trace::{Trace, TraceEntry};

@@ -23,7 +23,6 @@ use crate::memsys::MemorySystem;
 use crate::predictor::Predictor;
 use crate::profiler::{Profile, ProfileMode};
 use crate::program::Program;
-use crate::queue::TieQueue;
 use crate::stats::{EventCounters, RunStats};
 use crate::trace::Trace;
 use dbx_faults::{FaultKind, FaultPlan, FaultTarget};
@@ -76,8 +75,6 @@ pub struct Processor {
     /// Cycle count of the previous sample (gap start).
     last_sample: u64,
     trace: Option<Trace>,
-    /// TIE queues attached to this processor.
-    pub queues: Vec<TieQueue>,
     /// Pending fault-injection plan; events fire as cycles pass.
     fault_plan: Option<FaultPlan>,
     /// Cycle budget after which [`Self::run`] raises a watchdog fault.
@@ -112,7 +109,6 @@ impl Processor {
             next_sample: 0,
             last_sample: 0,
             trace: None,
-            queues: Vec::new(),
             fault_plan: None,
             watchdog: None,
             injected_direct: 0,
@@ -156,13 +152,6 @@ impl Processor {
     /// Attaches an instruction-set extension (replaces any previous one).
     pub fn attach_extension(&mut self, ext: Box<dyn Extension>) {
         self.ext = Some(ext);
-    }
-
-    /// Attaches a TIE queue; returns its index for host-side access via
-    /// [`Self::queues`].
-    pub fn attach_queue(&mut self, queue: TieQueue) -> usize {
-        self.queues.push(queue);
-        self.queues.len() - 1
     }
 
     /// Immutable access to the attached extension.
@@ -702,7 +691,6 @@ impl Processor {
             ar: &mut self.ar,
             mem: &mut self.mem,
             counters: &mut self.counters,
-            queues: &mut self.queues,
         };
         Ok((ext, ctx))
     }
@@ -813,17 +801,17 @@ mod tests {
 
     #[test]
     fn simulator_state_is_send() {
-        // The host-parallel shard scheduler builds per-core Processor
-        // instances inside worker threads; every piece of simulator state
-        // must therefore be Send. This is a compile-time audit.
+        // The one cross-thread user of simulator state is the
+        // process-global program cache in `dbx-core` (`progcache.rs`),
+        // which shares `Program`s through a `static Mutex`; the values a
+        // run hands back must be free to leave the thread too. This is a
+        // compile-time audit.
         fn assert_send<T: Send>() {}
-        assert_send::<Processor>();
         assert_send::<CpuConfig>();
         assert_send::<RunStats>();
         assert_send::<SimError>();
         assert_send::<crate::ProfileSnapshot>();
         assert_send::<crate::Program>();
-        assert_send::<Box<dyn Extension>>();
         assert_send::<dbx_faults::FaultPlan>();
         assert_send::<dbx_faults::FaultCounters>();
     }

@@ -252,7 +252,9 @@ impl<D: Disk> Store<D> {
             tables,
             opts,
             obs,
-            commits_since_snapshot: 0,
+            // The cadence counts from the snapshot recovery loaded, not
+            // from the reopen.
+            commits_since_snapshot: generation - snap_lsn,
             recovery: report,
             last_commit_pos: None,
             snapshots: loaded.on_disk,
@@ -751,6 +753,60 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_after_an_lsn_gap_survives_the_next_recovery() {
+        // Segment 1 holds LSN 1 and segment 2 holds LSN 3: LSN 2 is
+        // missing, so recovery stops at generation 1.
+        let mut disk = MemDisk::new();
+        let mut wal = Wal::new(1);
+        let ops = vec![TableOp::Create {
+            name: "t".into(),
+            columns: cols(&[1]),
+        }];
+        wal.append(&mut disk, &WalRecord { lsn: 1, ops }).unwrap();
+        wal.rotate(&mut disk).unwrap();
+        let ops = vec![TableOp::Append {
+            name: "t".into(),
+            rows: cols(&[3]),
+        }];
+        wal.append(&mut disk, &WalRecord { lsn: 3, ops }).unwrap();
+        wal.sync(&mut disk).unwrap();
+        let mut store = Store::open(disk, StoreOptions::default()).unwrap();
+        assert_eq!(store.generation(), 1);
+        let mut txn = store.begin();
+        txn.append_rows("t", cols(&[2]));
+        assert_eq!(store.commit(txn).unwrap(), 2);
+        let digest = store.state_digest();
+        let mut disk = store.into_disk();
+        disk.crash();
+        let store = Store::open(disk, StoreOptions::default()).unwrap();
+        assert_eq!(store.generation(), 2, "the acknowledged commit survives");
+        assert_eq!(store.state_digest(), digest);
+    }
+
+    #[test]
+    fn a_reopened_store_keeps_its_snapshot_cadence() {
+        let opts = || StoreOptions {
+            snapshot_every: 8,
+            ..Default::default()
+        };
+        let mut store = Store::open(MemDisk::new(), opts()).unwrap();
+        let mut txn = store.begin();
+        txn.create_table("t", cols(&[0]));
+        store.commit(txn).unwrap();
+        for i in 1..24u32 {
+            if i == 19 {
+                store = Store::open(store.into_disk(), opts()).unwrap();
+                assert_eq!(store.recovery().snapshot_lsn, 16);
+            }
+            let mut txn = store.begin();
+            txn.append_rows("t", cols(&[i]));
+            store.commit(txn).unwrap();
+        }
+        assert_eq!(store.generation(), 24);
+        assert!(store.disk().exists(&snapshot_name(24)));
+    }
+
+    #[test]
     fn observer_records_storage_spans_and_counters() {
         let (obs, sink) = Observer::memory();
         let mut store = Store::open(
@@ -914,7 +970,7 @@ mod tests {
         }
         let mut disk = store.into_disk();
         disk.set_file(
-            &snapshot_name(27),
+            &snapshot_name(24),
             StorageFileClass::Snapshot,
             b"torn".to_vec(),
         );
@@ -944,13 +1000,13 @@ mod tests {
         assert_eq!(store.disk().lists.get(), lists, "a commit listed the disk");
         assert_eq!(store.disk().reads.get(), reads, "a commit read the disk");
 
-        // The history is whole: the rewritten snapshot at 27 validates,
+        // The history is whole: the rewritten snapshot at 24 validates,
         // and recovery from the final disk lands on the same state.
         let digest = store.state_digest();
         let disk = store.into_disk().inner;
         assert!(Snapshot::load_latest(&disk).skipped.is_empty());
         let reopened = Store::open(disk, StoreOptions::default()).unwrap();
-        assert_eq!(reopened.recovery().snapshot_lsn, 83);
+        assert_eq!(reopened.recovery().snapshot_lsn, 80);
         assert_eq!(reopened.state_digest(), digest);
     }
 

@@ -56,21 +56,11 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
 /// The outcome of scanning one segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentScan {
-    /// Records recovered from the valid prefix, in log order.
-    pub records: Vec<WalRecord>,
-    /// Byte length of the valid prefix (frames that fully check out).
-    pub valid_len: usize,
-    /// Total bytes present in the segment image.
-    pub total_len: usize,
+    /// Records recovered from the valid prefix (frames that fully check
+    /// out), in log order, each with the byte offset just past its frame.
+    pub records: Vec<(WalRecord, usize)>,
     /// Why the scan stopped early, if it did.
     pub damage: Option<String>,
-}
-
-impl SegmentScan {
-    /// True when the segment had a torn/corrupt tail.
-    pub fn truncated(&self) -> bool {
-        self.valid_len < self.total_len
-    }
 }
 
 /// Scans a raw segment image, decoding frames until the first sign of
@@ -102,7 +92,7 @@ pub fn scan_segment(bytes: &[u8]) -> SegmentScan {
             break;
         }
         match WalRecord::decode(payload) {
-            Ok(rec) => records.push(rec),
+            Ok(rec) => records.push((rec, at + FRAME_HEADER + len)),
             Err(e) => {
                 // A CRC-valid but undecodable payload: treat it like
                 // corruption at this offset — the prefix is still good.
@@ -112,12 +102,7 @@ pub fn scan_segment(bytes: &[u8]) -> SegmentScan {
         }
         at += FRAME_HEADER + len;
     }
-    SegmentScan {
-        records,
-        valid_len: at,
-        total_len: bytes.len(),
-        damage,
-    }
+    SegmentScan { records, damage }
 }
 
 /// The outcome of replaying the whole segment chain.
@@ -253,7 +238,10 @@ impl Wal {
     /// record is missing from the middle of the chain (a dropped
     /// rotation fsync combined with a damaged snapshot can durabilize a
     /// later segment while a tail of an earlier one is lost), replay
-    /// stops at the gap rather than splicing a hole into history.
+    /// stops at the gap rather than splicing a hole into history. The
+    /// segment holding the gap is truncated at the end of its last
+    /// in-order frame, like a torn tail, so the resumed log appends
+    /// where the next recovery will find it.
     pub fn replay<D: Disk>(disk: &mut D, after_lsn: u64) -> Result<WalReplay, StorageError> {
         let segs = Self::segments(disk);
         let mut out = WalReplay::default();
@@ -269,37 +257,32 @@ impl Wal {
                 continue;
             }
             let bytes = disk.read(&name)?;
-            let mut scan = scan_segment(&bytes);
+            let scan = scan_segment(&bytes);
             out.last_segment = seq;
-            out.last_segment_len = bytes.len();
-            for rec in std::mem::take(&mut scan.records) {
-                if rec.lsn <= after_lsn {
-                    continue;
+            // End of the last frame replay keeps in this segment.
+            let mut kept = 0;
+            let mut damage = scan.damage.map(|d| format!("{name}: {d}"));
+            for (rec, end) in scan.records {
+                if rec.lsn > after_lsn {
+                    if rec.lsn != expected {
+                        damage = Some(format!(
+                            "{name}: lsn gap: expected {expected}, found {}",
+                            rec.lsn
+                        ));
+                        break;
+                    }
+                    expected += 1;
+                    out.frames_replayed += 1;
+                    out.records.push(rec);
                 }
-                if rec.lsn != expected {
-                    out.damage.push(format!(
-                        "{name}: lsn gap: expected {expected}, found {}",
-                        rec.lsn
-                    ));
-                    out.frames_truncated += 1;
-                    stop = true;
-                    break;
-                }
-                expected += 1;
-                out.frames_replayed += 1;
-                out.records.push(rec);
+                kept = end;
             }
-            if stop {
-                continue;
-            }
-            if scan.truncated() {
+            out.last_segment_len = kept;
+            if kept < bytes.len() {
                 out.frames_truncated += 1;
-                if let Some(d) = scan.damage {
-                    out.damage.push(format!("{name}: {d}"));
-                }
-                disk.truncate(&name, scan.valid_len)?;
+                out.damage.extend(damage);
+                disk.truncate(&name, kept)?;
                 disk.fsync(&name)?;
-                out.last_segment_len = scan.valid_len;
                 stop = true;
             }
         }
@@ -464,6 +447,26 @@ mod tests {
         assert!(replay.frames_truncated >= 1);
         assert!(!disk.exists("wal-00000002.seg"));
         assert!(replay.damage.iter().any(|d| d.contains("crc mismatch")));
+    }
+
+    #[test]
+    fn an_lsn_gap_truncates_its_segment_after_the_last_in_order_frame() {
+        let mut disk = MemDisk::new();
+        let mut wal = Wal::new(1);
+        // LSN 1 is covered by a snapshot, LSN 2 replays, LSN 3 is missing.
+        let kept =
+            wal.append(&mut disk, &rec(1)).unwrap() + wal.append(&mut disk, &rec(2)).unwrap();
+        wal.append(&mut disk, &rec(4)).unwrap();
+        wal.sync(&mut disk).unwrap();
+        let replay = Wal::replay(&mut disk, 1).unwrap();
+        assert_eq!(
+            replay.records.iter().map(|r| r.lsn).collect::<Vec<_>>(),
+            vec![2]
+        );
+        assert_eq!(replay.frames_truncated, 1);
+        assert!(replay.damage[0].contains("lsn gap"));
+        assert_eq!(replay.last_segment_len, kept);
+        assert_eq!(disk.read("wal-00000001.seg").unwrap().len(), kept);
     }
 
     #[test]

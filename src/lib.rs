@@ -19,8 +19,6 @@
 //!   [`query::QueryService`] front-end.
 //! * [`storage`] — crash-recoverable table storage: checksummed WAL,
 //!   periodic snapshots, OCC commits, seeded crash campaigns.
-//! * [`showcase`] — a second instruction-set extension (CRC32, bit ops,
-//!   TIE-queue streaming) built on the same framework.
 //! * [`harness`] — experiment drivers regenerating every table and figure.
 //!
 //! # Quick start
@@ -53,7 +51,6 @@ pub use dbx_harness as harness;
 pub use dbx_mem as mem;
 pub use dbx_observe as observe;
 pub use dbx_query as query;
-pub use dbx_showcase as showcase;
 pub use dbx_storage as storage;
 pub use dbx_synth as synth;
 pub use dbx_workloads as workloads;
