@@ -35,6 +35,8 @@
 //! observe options:
 //!          --json              print the benchmark snapshot JSON
 //!          --perfetto <path>   write the Chrome-trace/Perfetto timeline
+//!                              (schema-validated: an invalid trace is
+//!                              not written and the run exits 1)
 //!          --folded <path>     write folded stacks for flamegraph tools
 //!          --top <n>           hotspot regions per kernel (default 3)
 //!          --check <baseline>  gate against a committed snapshot
@@ -84,10 +86,11 @@
 //! ```
 
 use dbx_harness::{
-    bench, dse, energy, fig13, isa_ref, monitor, observe, pipeline, resilience, scaling, serve,
-    stream_exp, table2, table3, table4, table5, table6, width_exp,
+    bench, dse, energy, fig13, isa_ref, observe, pipeline, resilience, scaling, serve, stream_exp,
+    table2, table3, table4, table5, table6, width_exp,
 };
 use dbx_observe::snapshot::{compare, render_diff, Snapshot};
+use dbx_observe::validate_chrome_trace;
 use std::str::FromStr;
 
 /// How a flag takes its value.
@@ -416,7 +419,13 @@ fn run_observe(args: &[String], scale: f64) {
     let o = observe::run(scale);
 
     if let Some(path) = perfetto {
-        write_file(&path, &o.perfetto());
+        let trace = o.perfetto();
+        // An export must load in the viewer: refuse to write an invalid one.
+        if let Err(e) = validate_chrome_trace(&trace) {
+            eprintln!("repro: generated trace is invalid, {path} not written: {e}");
+            std::process::exit(1);
+        }
+        write_file(&path, &trace);
     }
     if let Some(path) = folded {
         write_file(&path, &o.folded().render());
@@ -460,8 +469,7 @@ fn run_serve(args: &[String], scale: f64) {
 fn run_monitor(args: &[String], scale: f64) {
     let scale = scale_flag(args, scale);
     let top_tail = flag_value(args, "--top-tail").unwrap_or(5);
-    let m = monitor::run(scale);
-    outln!("{}", m.render(top_tail));
+    outln!("{}", serve::run(scale).monitor_report(top_tail));
 }
 
 fn run_dse(args: &[String]) {

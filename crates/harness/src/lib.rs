@@ -17,8 +17,7 @@
 //! | [`bench`](mod@bench) | Section 6's figure sweeps as the regression-gated `BENCH_perf.json` suite |
 //! | [`dse`] | Automatic ISA-extension mining: DFG enumeration + synth-priced Pareto search |
 //! | [`width_exp`] | Section 2.2 — vector-width area/bandwidth tradeoff |
-//! | [`serve`] | Durable query serving under admission control: the regression-gated `BENCH_serve.json` benchmark |
-//! | [`monitor`] | Operator view of the serving run: SLO windows, burn-rate alerts, tail attribution |
+//! | [`serve`] | Durable query serving under admission control: the regression-gated `BENCH_serve.json` benchmark and its operator view (SLO windows, burn-rate alerts, tail attribution) |
 //! | [`pipeline`] | Section 4 — cycles/iteration vs unroll factor, theoretical peak |
 //!
 //! The `repro` binary drives them: `repro table2`, `repro all`, ...
@@ -31,7 +30,6 @@ pub mod dse;
 pub mod energy;
 pub mod fig13;
 pub mod isa_ref;
-pub mod monitor;
 pub mod observe;
 pub mod pipeline;
 pub mod report;

@@ -13,6 +13,13 @@
 //! to the scale or the admission counters fails (the service behaved
 //! differently).
 //!
+//! Every count and percentile is derived from the run's request records
+//! (the [`TelemetryReport`]), so the snapshot, the human reports and both
+//! expositions print the same numbers. [`Serve::monitor_report`] is the
+//! operator's view of the same run (`repro monitor`): SLO windows in
+//! virtual cycle time, the typed alerts the run fired with their burn
+//! rates, and tail attribution.
+//!
 //! After the measured run the harness crash-recovers the store from its
 //! WAL + snapshots and checks the recovered state digest — recovery is
 //! on the serving path, not just in the test suite. The recovery
@@ -22,10 +29,10 @@ use crate::{scaled, SEED};
 use dbx_core::ProcModel;
 use dbx_faults::XorShift64;
 use dbx_observe::telemetry::{
-    median, p99, AlertKind, MetricsWriter, Phase, SloPolicy, TelemetryReport,
+    percentile, AlertKind, MetricsWriter, Outcome, Phase, RequestRecord, SloPolicy, TelemetryReport,
 };
 use dbx_observe::{Better, Json, Snapshot};
-use dbx_query::{Arrival, Predicate, QueryService, Request, ServiceConfig, ServiceStats};
+use dbx_query::{Arrival, Predicate, QueryService, Request, ServiceConfig};
 use dbx_storage::{Columns, MemDisk};
 use dbx_synth::{fmax_mhz, Tech};
 
@@ -56,15 +63,6 @@ pub fn slo_policy() -> SloPolicy {
 pub struct Serve {
     /// Workload scale (`1.0` = the committed baseline's size).
     pub scale: f64,
-    /// Requests offered.
-    pub requests: u64,
-    /// Admission counters and span of the measured run.
-    pub stats: ServiceStats,
-    /// Nearest-rank median successful-request latency, cycles (0 if
-    /// none succeeded).
-    pub p50_cycles: u64,
-    /// Nearest-rank 99th-percentile successful-request latency, cycles.
-    pub p99_cycles: u64,
     /// State digest after the measured run.
     pub digest: u32,
     /// State digest after crash + recovery (must equal `digest`).
@@ -169,10 +167,7 @@ pub fn run(scale: f64) -> Serve {
     let mut service =
         QueryService::open(MemDisk::new(), MODEL, cfg).expect("open serve benchmark store");
     let workload = workload(scale);
-    let report = service.run(&workload);
-
-    let latencies = report.latencies();
-    let telemetry = TelemetryReport::build(report.records(), &slo_policy());
+    let telemetry = TelemetryReport::build(service.run(&workload).records(), &slo_policy());
 
     // Crash-recover the store and prove the serving state survives: the
     // recovered digest must match the pre-crash digest exactly.
@@ -183,10 +178,6 @@ pub fn run(scale: f64) -> Serve {
     let recovery = recovered.recovery().clone();
     Serve {
         scale,
-        requests: workload.len() as u64,
-        stats: report.stats,
-        p50_cycles: median(&latencies).unwrap_or(0),
-        p99_cycles: p99(&latencies).unwrap_or(0),
         digest,
         recovered_digest: recovered.state_digest(),
         frames_replayed: recovery.frames_replayed,
@@ -201,33 +192,71 @@ impl Serve {
         fmax_mhz(MODEL, &Tech::tsmc65lp())
     }
 
+    /// The exact nearest-rank `p`th percentile of successful-request
+    /// latencies, cycles (0 if none succeeded).
+    pub fn latency_cycles(&self, p: f64) -> u64 {
+        let ok: Vec<u64> = self
+            .telemetry
+            .records
+            .iter()
+            .filter(|r| r.outcome == Outcome::Ok)
+            .map(RequestRecord::latency)
+            .collect();
+        percentile(&ok, p).unwrap_or(0)
+    }
+
+    /// The six request counters as `(key, help, value)`: the one list
+    /// the snapshot, the human report and both expositions print.
+    fn counters(&self) -> [(&'static str, &'static str, u64); 6] {
+        let t = &self.telemetry.totals;
+        [
+            ("requests", "Requests offered to the service.", t.requests),
+            ("admitted", "Requests admitted past the queue.", t.admitted),
+            ("shed", "Requests shed by admission control.", t.shed),
+            ("retried", "Retry attempts consumed.", t.retried),
+            (
+                "succeeded",
+                "Admitted requests that succeeded.",
+                t.succeeded,
+            ),
+            ("failed", "Admitted requests that failed.", t.failed),
+        ]
+    }
+
     /// Sustained throughput: successful queries per second at fMAX.
     pub fn qps(&self) -> f64 {
-        match self.stats.span_cycles {
+        let t = &self.telemetry.totals;
+        match t.span_cycles {
             0 => 0.0,
-            span => self.stats.succeeded as f64 * self.fmax_mhz() * 1.0e6 / span as f64,
+            span => t.succeeded as f64 * self.fmax_mhz() * 1.0e6 / span as f64,
         }
     }
 
-    /// The `BENCH_serve.json` snapshot: the scale and admission counters
+    /// The `BENCH_serve.json` snapshot: the scale and request counters
     /// gated exactly, p50/p99/span gated at 3%, fMAX and qps reported.
     pub fn snapshot(&self) -> Snapshot {
-        let st = &self.stats;
         let mut s = Snapshot::new();
         s.id("serve/model", MODEL.name());
         s.gated("serve/scale", self.scale, "x", Better::Exact);
-        for (name, value, unit, better) in [
-            ("requests", self.requests, "requests", Better::Exact),
-            ("admitted", st.admitted, "requests", Better::Exact),
-            ("shed", st.shed, "requests", Better::Exact),
-            ("retried", st.retried, "requests", Better::Exact),
-            ("succeeded", st.succeeded, "requests", Better::Exact),
-            ("failed", st.failed, "requests", Better::Exact),
-            ("span_cycles", st.span_cycles, "cycles", Better::Lower),
-            ("p50_cycles", self.p50_cycles, "cycles", Better::Lower),
-            ("p99_cycles", self.p99_cycles, "cycles", Better::Lower),
+        for (key, _, value) in self.counters() {
+            s.gated(
+                format!("serve/{key}"),
+                value as f64,
+                "requests",
+                Better::Exact,
+            );
+        }
+        for (name, value) in [
+            ("span_cycles", self.telemetry.totals.span_cycles),
+            ("p50_cycles", self.latency_cycles(50.0)),
+            ("p99_cycles", self.latency_cycles(99.0)),
         ] {
-            s.gated(format!("serve/{name}"), value as f64, unit, better);
+            s.gated(
+                format!("serve/{name}"),
+                value as f64,
+                "cycles",
+                Better::Lower,
+            );
         }
         s.info("serve/fmax_mhz", self.fmax_mhz(), "MHz", Better::Higher);
         s.info("serve/qps", self.qps(), "qps", Better::Higher);
@@ -236,20 +265,20 @@ impl Serve {
 
     /// The human report.
     pub fn render(&self) -> String {
-        let st = &self.stats;
+        let [(_, _, requests), counts @ ..] = self.counters();
         let mut out = format!(
-            "Serving benchmark — scale {} ({} requests, {} model)\n\n",
+            "Serving benchmark — scale {} ({requests} requests, {} model)\n\n",
             self.scale,
-            self.requests,
             MODEL.name()
         );
+        for (key, _, value) in counts {
+            out.push_str(&format!("  {key} {value}"));
+        }
         out.push_str(&format!(
-            "  admitted {}  shed {}  retried {}  succeeded {}  failed {}\n",
-            st.admitted, st.shed, st.retried, st.succeeded, st.failed
-        ));
-        out.push_str(&format!(
-            "  span {} cycles  p50 {} cycles  p99 {} cycles\n",
-            st.span_cycles, self.p50_cycles, self.p99_cycles
+            "\n  span {} cycles  p50 {} cycles  p99 {} cycles\n",
+            self.telemetry.totals.span_cycles,
+            self.latency_cycles(50.0),
+            self.latency_cycles(99.0)
         ));
         out.push_str(&format!(
             "  throughput {:.1} qps at {:.1} MHz\n\n",
@@ -281,42 +310,11 @@ impl Serve {
     /// compares it with a committed golden file).
     pub fn metrics(&self) -> String {
         let t = &self.telemetry;
-        let st = &self.stats;
         let mut w = MetricsWriter::new();
-        for (name, help, value) in [
-            (
-                "dbx_serve_requests_total",
-                "Requests offered to the service.",
-                self.requests,
-            ),
-            (
-                "dbx_serve_admitted_total",
-                "Requests admitted past the queue.",
-                st.admitted,
-            ),
-            (
-                "dbx_serve_shed_total",
-                "Requests shed by admission control.",
-                st.shed,
-            ),
-            (
-                "dbx_serve_retried_total",
-                "Retry attempts consumed.",
-                st.retried,
-            ),
-            (
-                "dbx_serve_succeeded_total",
-                "Admitted requests that succeeded.",
-                st.succeeded,
-            ),
-            (
-                "dbx_serve_failed_total",
-                "Admitted requests that failed.",
-                st.failed,
-            ),
-        ] {
-            w.family(name, help, "counter");
-            w.sample_u64(name, &[], value);
+        for (key, help, value) in self.counters() {
+            let name = format!("dbx_serve_{key}_total");
+            w.family(&name, help, "counter");
+            w.sample_u64(&name, &[], value);
         }
         w.histogram(
             "dbx_serve_latency",
@@ -387,7 +385,6 @@ impl Serve {
     /// deterministic single-line document.
     pub fn metrics_json(&self) -> String {
         let t = &self.telemetry;
-        let st = &self.stats;
         let phases = Json::obj(
             Phase::ALL
                 .iter()
@@ -429,10 +426,10 @@ impl Serve {
                     Json::obj([
                         ("start", Json::Num(win.start as f64)),
                         ("end", Json::Num(win.end as f64)),
-                        ("requests", Json::Num(win.requests as f64)),
-                        ("shed", Json::Num(win.shed as f64)),
-                        ("succeeded", Json::Num(win.succeeded as f64)),
-                        ("failed", Json::Num(win.failed as f64)),
+                        ("requests", Json::Num(win.totals.requests as f64)),
+                        ("shed", Json::Num(win.totals.shed as f64)),
+                        ("succeeded", Json::Num(win.totals.succeeded as f64)),
+                        ("failed", Json::Num(win.totals.failed as f64)),
                         ("shed_rate", Json::Num(win.shed_rate())),
                         (
                             "p99_cycles",
@@ -460,23 +457,85 @@ impl Serve {
                 })
                 .collect(),
         );
-        let doc = Json::obj([
-            ("schema", Json::Str("dbx-harness/telemetry/v1".to_string())),
-            ("requests", Json::Num(self.requests as f64)),
-            ("admitted", Json::Num(st.admitted as f64)),
-            ("shed", Json::Num(st.shed as f64)),
-            ("retried", Json::Num(st.retried as f64)),
-            ("succeeded", Json::Num(st.succeeded as f64)),
-            ("failed", Json::Num(st.failed as f64)),
-            ("latency", t.latency.to_json()),
-            ("phase_cycles", phases),
-            ("tenant_requests", tenants),
-            ("p99", p99),
-            ("windows", windows),
-            ("alerts", alerts),
-        ]);
+        let counters = self
+            .counters()
+            .map(|(key, _, value)| (key, Json::Num(value as f64)));
+        let doc = Json::obj(
+            [("schema", Json::Str("dbx-harness/telemetry/v1".to_string()))]
+                .into_iter()
+                .chain(counters)
+                .chain([
+                    ("latency", t.latency.to_json()),
+                    ("phase_cycles", phases),
+                    ("tenant_requests", tenants),
+                    ("p99", p99),
+                    ("windows", windows),
+                    ("alerts", alerts),
+                ]),
+        );
         let mut out = String::new();
         doc.write(&mut out);
+        out
+    }
+
+    /// The `repro monitor` report: SLO windows, the alerts that fired,
+    /// tail attribution.
+    pub fn monitor_report(&self, top_tail: usize) -> String {
+        let t = &self.telemetry;
+        let policy = slo_policy();
+        let mut out = format!(
+            "Service monitor — {} requests, windows of {} cycles (p99 ≤ {} cycles, shed ≤ {:.1}%)\n\n",
+            self.telemetry.totals.requests,
+            policy.window_cycles,
+            policy.p99_latency_cycles,
+            100.0 * policy.max_shed_rate,
+        );
+        out.push_str(
+            "  window                requests  shed  succ  fail  p99_est  shed_rate  status\n",
+        );
+        for win in &t.windows {
+            let fired = t
+                .alerts
+                .iter()
+                .any(|a| a.window_start == win.start && a.window_end == win.end);
+            out.push_str(&format!(
+                "  [{:>8} .. {:>8})  {:>8}  {:>4}  {:>4}  {:>4}  {:>7}  {:>8.1}%  {}\n",
+                win.start,
+                win.end,
+                win.totals.requests,
+                win.totals.shed,
+                win.totals.succeeded,
+                win.totals.failed,
+                win.latency
+                    .p99()
+                    .map(|v| v.to_string())
+                    .unwrap_or_else(|| "-".to_string()),
+                100.0 * win.shed_rate(),
+                if fired { "ALERT" } else { "ok" },
+            ));
+        }
+        out.push('\n');
+        if t.alerts.is_empty() {
+            out.push_str("No SLO alerts fired.\n");
+        } else {
+            out.push_str(&format!("{} SLO alert(s):\n", t.alerts.len()));
+            for a in &t.alerts {
+                out.push_str(&format!("  {}\n", a.render()));
+            }
+        }
+        out.push('\n');
+        out.push_str(&self.top_tail_report(top_tail));
+        if let Some(p99) = t.p99_record() {
+            out.push_str(&format!(
+                "\np99 query: qid {} ({}, tenant {}) — {} cycles, dominated by {} ({} cycles)\n",
+                p99.qid,
+                p99.kind,
+                p99.tenant,
+                p99.latency(),
+                p99.dominant_phase().name(),
+                p99.phases.get(p99.dominant_phase()),
+            ));
+        }
         out
     }
 
@@ -519,10 +578,13 @@ mod tests {
     #[test]
     fn the_burst_exercises_shedding_and_recovery_holds() {
         let s = run(0.25);
-        assert!(s.stats.shed > 0, "the burst must overflow the queue");
-        assert!(s.stats.succeeded > 0);
+        assert!(
+            s.telemetry.totals.shed > 0,
+            "the burst must overflow the queue"
+        );
+        assert!(s.telemetry.totals.succeeded > 0);
         assert!(s.qps() > 0.0);
-        assert!(s.p99_cycles >= s.p50_cycles);
+        assert!(s.latency_cycles(99.0) >= s.latency_cycles(50.0));
         assert!(s.recovery_ok(), "recovered digest diverged");
         assert!(s.render().contains("ok"));
     }
@@ -530,20 +592,47 @@ mod tests {
     #[test]
     fn counter_drift_fails_the_gate_and_latency_gates_at_three_percent() {
         use dbx_observe::snapshot::compare;
-        let mut s = run(0.25);
-        let baseline = s.snapshot();
-        let fails = |s: &Serve| {
-            compare(&baseline, &s.snapshot())
-                .iter()
-                .any(|d| d.regressed())
+        let baseline = run(0.25).snapshot();
+        // A copy of the baseline with one value changed by `f`.
+        let drifted = |key: &str, f: &dyn Fn(f64) -> f64| {
+            let mut s = Snapshot::new();
+            for (k, m) in baseline.iter() {
+                let v = if k == key { f(m.value) } else { m.value };
+                if m.gated {
+                    s.gated(k, v, &m.unit, m.better);
+                } else {
+                    s.info(k, v, &m.unit, m.better);
+                }
+            }
+            s
         };
-        assert!(!fails(&s));
-        s.stats.shed += 1;
-        assert!(fails(&s), "an admission counter drift must fail");
-        s.stats.shed -= 1;
-        s.p99_cycles += s.p99_cycles / 50; // +2%
-        assert!(!fails(&s));
-        s.p99_cycles += s.p99_cycles / 50; // ~+4%
-        assert!(fails(&s));
+        let fails = |s: &Snapshot| compare(&baseline, s).iter().any(|d| d.regressed());
+        assert!(!fails(&drifted("serve/shed", &|v| v)));
+        assert!(
+            fails(&drifted("serve/shed", &|v| v + 1.0)),
+            "a one-request counter drift must fail"
+        );
+        assert!(!fails(&drifted("serve/p99_cycles", &|v| v * 1.02)));
+        assert!(fails(&drifted("serve/p99_cycles", &|v| v * 1.04)));
+    }
+
+    #[test]
+    fn the_monitor_reports_burst_alerts_and_tail_attribution() {
+        let s = run(0.25);
+        let t = &s.telemetry;
+        assert!(
+            !t.alerts.is_empty(),
+            "the overload burst must violate the SLO policy"
+        );
+        let report = s.monitor_report(5);
+        assert!(report.contains("ALERT"));
+        assert!(report.contains("p99 query: qid"));
+        // Every rendered alert window exists in the window table.
+        for a in &t.alerts {
+            assert!(t
+                .windows
+                .iter()
+                .any(|w| w.start == a.window_start && w.end == a.window_end));
+        }
     }
 }

@@ -93,6 +93,18 @@ fn diff_exits_0_on_identical_snapshots_and_1_on_any_change() {
 }
 
 #[test]
+fn the_perfetto_export_is_a_valid_trace() {
+    let path = std::env::temp_dir().join(format!("repro_cli_trace_{}.json", std::process::id()));
+    exits(
+        0,
+        &["observe", "--quick", "--perfetto", path.to_str().unwrap()],
+    );
+    let trace = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    dbx_observe::validate_chrome_trace(&trace).expect("repro writes a valid trace");
+}
+
+#[test]
 fn diff_needs_two_readable_files() {
     exits(2, &["diff", "BENCH_perf.json"]);
     let err = exits(1, &["diff", "BENCH_perf.json", "no/such/file.json"]);

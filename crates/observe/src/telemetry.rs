@@ -366,6 +366,52 @@ impl RequestRecord {
     }
 }
 
+/// The counts of a service run, derived from its records in one pass.
+/// `shed`, `succeeded` and `failed` partition the records by
+/// [`Outcome`], so `shed + succeeded + failed == requests` and
+/// `admitted == requests - shed`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeTotals {
+    /// Requests offered.
+    pub requests: u64,
+    /// Requests admitted past the queue.
+    pub admitted: u64,
+    /// Requests shed at admission.
+    pub shed: u64,
+    /// Re-runs after retryable failures, summed over all requests.
+    pub retried: u64,
+    /// Requests that finished with `Ok`.
+    pub succeeded: u64,
+    /// Admitted requests that finished with an error (shed requests
+    /// count in `shed` only).
+    pub failed: u64,
+    /// Cycles from the first arrival to the last finish (0 when there
+    /// are no records).
+    pub span_cycles: u64,
+}
+
+impl ServeTotals {
+    /// Totals over `records`, in any order.
+    pub fn of<'a>(records: impl IntoIterator<Item = &'a RequestRecord>) -> ServeTotals {
+        let mut t = ServeTotals::default();
+        let (mut first, mut last) = (u64::MAX, 0);
+        for r in records {
+            t.requests += 1;
+            t.retried += u64::from(r.retries);
+            match r.outcome {
+                Outcome::Ok => t.succeeded += 1,
+                Outcome::Shed => t.shed += 1,
+                Outcome::Failed => t.failed += 1,
+            }
+            first = first.min(r.arrival);
+            last = last.max(r.finish);
+        }
+        t.admitted = t.requests - t.shed;
+        t.span_cycles = last.saturating_sub(first);
+        t
+    }
+}
+
 /// Service-level objectives evaluated per virtual-time window.
 #[derive(Debug, Clone)]
 pub struct SloPolicy {
@@ -397,15 +443,9 @@ pub struct SloWindow {
     pub start: u64,
     /// Window end cycle (exclusive).
     pub end: u64,
-    /// Requests that finished in the window (including shed ones,
-    /// which "finish" at their arrival cycle).
-    pub requests: u64,
-    /// Requests shed in the window.
-    pub shed: u64,
-    /// Requests that completed successfully.
-    pub succeeded: u64,
-    /// Admitted requests that failed.
-    pub failed: u64,
+    /// The counts of the requests that finished in the window (shed
+    /// ones "finish" at their arrival cycle).
+    pub totals: ServeTotals,
     /// Latency histogram of the served (admitted) requests.
     pub latency: CycleHistogram,
 }
@@ -414,10 +454,9 @@ impl SloWindow {
     /// Shed fraction of the window's requests; 0 for an empty window
     /// (never NaN).
     pub fn shed_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.shed as f64 / self.requests as f64
+        match self.totals.requests {
+            0 => 0.0,
+            n => self.totals.shed as f64 / n as f64,
         }
     }
 }
@@ -485,32 +524,25 @@ pub fn evaluate_slo(
     policy: &SloPolicy,
 ) -> (Vec<SloWindow>, Vec<TelemetryAlert>) {
     let w = policy.window_cycles.max(1);
-    let mut by_window: BTreeMap<u64, SloWindow> = BTreeMap::new();
+    let mut by_window: BTreeMap<u64, Vec<&RequestRecord>> = BTreeMap::new();
     for r in records {
-        let idx = r.finish / w;
-        let win = by_window.entry(idx).or_insert_with(|| SloWindow {
-            start: idx * w,
-            end: idx * w + w,
-            requests: 0,
-            shed: 0,
-            succeeded: 0,
-            failed: 0,
-            latency: CycleHistogram::new(),
-        });
-        win.requests += 1;
-        match r.outcome {
-            Outcome::Shed => win.shed += 1,
-            Outcome::Ok => {
-                win.succeeded += 1;
-                win.latency.record(r.latency());
-            }
-            Outcome::Failed => {
-                win.failed += 1;
-                win.latency.record(r.latency());
-            }
-        }
+        by_window.entry(r.finish / w).or_default().push(r);
     }
-    let windows: Vec<SloWindow> = by_window.into_values().collect();
+    let windows: Vec<SloWindow> = by_window
+        .into_iter()
+        .map(|(idx, rs)| {
+            let mut latency = CycleHistogram::new();
+            for r in rs.iter().filter(|r| r.admitted()) {
+                latency.record(r.latency());
+            }
+            SloWindow {
+                start: idx * w,
+                end: idx * w + w,
+                totals: ServeTotals::of(rs),
+                latency,
+            }
+        })
+        .collect();
     let mut alerts = Vec::new();
     for win in &windows {
         let shed_rate = win.shed_rate();
@@ -556,6 +588,8 @@ pub fn evaluate_slo(
 pub struct TelemetryReport {
     /// Per-request records, in qid order.
     pub records: Vec<RequestRecord>,
+    /// The run's counts over `records`.
+    pub totals: ServeTotals,
     /// Latency histogram over every *admitted* request (successful and
     /// failed alike — shed requests never occupied the server). Its
     /// `count()` therefore equals the number of serve spans.
@@ -588,6 +622,7 @@ impl TelemetryReport {
         }
         let (windows, alerts) = evaluate_slo(&records, policy);
         TelemetryReport {
+            totals: ServeTotals::of(&records),
             records,
             latency,
             phase_cycles,
@@ -892,9 +927,9 @@ mod tests {
         ];
         let (windows, alerts) = evaluate_slo(&records, &policy);
         assert_eq!(windows.len(), 3);
-        assert_eq!(windows[0].requests, 2);
-        assert_eq!(windows[1].shed, 1);
-        assert_eq!(windows[2].succeeded, 1);
+        assert_eq!(windows[0].totals.requests, 2);
+        assert_eq!(windows[1].totals.shed, 1);
+        assert_eq!(windows[2].totals.succeeded, 1);
         // Window 0: p99 estimate of latencies {40, 80} exceeds 50.
         // Window 1: one shed of one request -> shed rate 1.0 > 0.25.
         // Window 2: latency 140 > 50.
@@ -988,6 +1023,19 @@ mod tests {
             ),
         ];
         let report = TelemetryReport::build(records, &SloPolicy::default());
+        assert_eq!(
+            report.totals,
+            ServeTotals {
+                requests: 4,
+                admitted: 3,
+                shed: 1,
+                retried: 0,
+                succeeded: 2,
+                failed: 1,
+                span_cycles: 500,
+            }
+        );
+        assert_eq!(ServeTotals::of(&[]), ServeTotals::default());
         // Histogram counts admitted requests only (== serve spans).
         assert_eq!(report.latency.count(), 3);
         assert_eq!(report.phase_cycles[0], 410); // queue

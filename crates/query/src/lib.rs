@@ -35,5 +35,5 @@ pub use error::QueryError;
 pub use index::{SecondaryIndex, Table};
 pub use predicate::Predicate;
 pub use service::{
-    Arrival, Completion, QueryService, Reply, Request, ServiceConfig, ServiceReport, ServiceStats,
+    Arrival, Completion, QueryService, Reply, Request, ServiceConfig, ServiceReport,
 };

@@ -1,12 +1,14 @@
 //! The serving front-end: a durable, admission-controlled query service
 //! over [`dbx_storage::Store`].
 //!
-//! [`QueryService`] ties the layers of this PR together: tables live in
-//! the crash-recoverable store (WAL + snapshots), reads run through
-//! [`QueryEngine`] against snapshot-isolated [`StoreView`]s, writes
-//! commit with first-committer-wins OCC, and a deterministic
-//! discrete-event admission model imposes per-query deadlines, a
-//! bounded queue with load shedding, and typed retry-with-backoff.
+//! [`QueryService`] ties the storage, query and telemetry layers
+//! together: tables live in the crash-recoverable store (WAL +
+//! snapshots), reads run through [`QueryEngine`] against
+//! snapshot-isolated [`StoreView`]s, writes commit with
+//! first-committer-wins OCC, and a deterministic discrete-event
+//! admission model imposes per-query deadlines, a bounded queue with
+//! load shedding, and typed retry-with-backoff. Every count of a run
+//! is derived from its per-arrival [`Completion`]s.
 //!
 //! # The virtual-time model
 //!
@@ -36,7 +38,7 @@ use crate::index::Table;
 use crate::predicate::Predicate;
 use dbx_core::{ProcModel, RunOptions};
 use dbx_cpu::{FaultCause, SimError};
-use dbx_observe::telemetry::{Outcome, PhaseBreakdown, RequestRecord};
+use dbx_observe::telemetry::{Outcome, PhaseBreakdown, RequestRecord, ServeTotals};
 use dbx_observe::{ArgValue, Observer, TrackId};
 use dbx_storage::{Columns, Disk, Store, StoreOptions, StoreView, TableImage};
 use std::collections::{HashMap, VecDeque};
@@ -130,8 +132,8 @@ pub struct Arrival {
     pub at: u64,
     /// The request.
     pub request: Request,
-    /// The tenant submitting the request (telemetry label; admission is
-    /// tenant-blind for now — ROADMAP item 1 adds per-tenant quotas).
+    /// The tenant submitting the request (a telemetry label; admission
+    /// is tenant-blind).
     pub tenant: String,
 }
 
@@ -193,46 +195,14 @@ impl Completion {
     }
 }
 
-/// Aggregate accounting of a service run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Requests admitted into the queue.
-    pub admitted: u64,
-    /// Requests shed at admission (queue full).
-    pub shed: u64,
-    /// Re-runs performed after retryable failures.
-    pub retried: u64,
-    /// Requests that finished with `Ok`.
-    pub succeeded: u64,
-    /// Admitted requests that finished with `Err`. Shed requests are
-    /// counted by `shed` only, so `shed + succeeded + failed` equals the
-    /// workload size exactly.
-    pub failed: u64,
-    /// Cycles from the first arrival to the last finish.
-    pub span_cycles: u64,
-    /// Cycles the server spent executing (incl. backoff gaps).
-    pub busy_cycles: u64,
-}
-
 /// The outcome of running a workload through the service.
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
     /// Per-arrival outcomes, in workload order.
     pub completions: Vec<Completion>,
-    /// Aggregate counters.
-    pub stats: ServiceStats,
 }
 
 impl ServiceReport {
-    /// Latencies of successful requests, in completion order.
-    pub fn latencies(&self) -> Vec<u64> {
-        self.completions
-            .iter()
-            .filter(|c| c.result.is_ok())
-            .map(Completion::latency)
-            .collect()
-    }
-
     /// The run as telemetry records, one per arrival, in workload order
     /// — the input to `dbx_observe::telemetry::TelemetryReport::build`.
     pub fn records(&self) -> Vec<RequestRecord> {
@@ -255,6 +225,11 @@ impl ServiceReport {
                 },
             })
             .collect()
+    }
+
+    /// The run's counts, derived from its records.
+    pub fn totals(&self) -> ServeTotals {
+        ServeTotals::of(&self.records())
     }
 }
 
@@ -464,36 +439,22 @@ impl<D: Disk> QueryService<D> {
 
         let mut queue: VecDeque<usize> = VecDeque::new();
         let mut completions: Vec<Option<Completion>> = vec![None; workload.len()];
-        let mut stats = ServiceStats::default();
         let mut server_free = 0u64;
-        let first_arrival = order.first().map(|&i| workload[i].at).unwrap_or(0);
-        let mut last_finish = first_arrival;
-
         for &i in &order {
             let now = workload[i].at;
             // Serve queued requests that start before this arrival.
             while let Some(&head) = queue.front() {
-                let start = server_free.max(workload[head].arrival_at());
+                let start = server_free.max(workload[head].at);
                 if start >= now {
                     break;
                 }
                 queue.pop_front();
-                let c = self.serve(head, &workload[head], start, &mut stats);
+                let c = self.serve(head, &workload[head], start);
                 server_free = c.finish;
-                last_finish = last_finish.max(c.finish);
                 completions[head] = Some(c);
             }
             if queue.len() >= self.cfg.queue_cap {
-                // Shed at admission. Shed requests never occupy the
-                // server, so they count in `shed` alone — not `failed`.
-                stats.shed += 1;
-                self.obs.span_at("admission.shed", "serve", now, 0, || {
-                    vec![
-                        ("kind", ArgValue::Str(workload[i].request.kind().into())),
-                        ("queue_depth", ArgValue::U64(queue.len() as u64)),
-                        ("qid", ArgValue::U64(i as u64)),
-                    ]
-                });
+                // Shed at admission, without occupying the server.
                 completions[i] = Some(Completion {
                     index: i,
                     kind: workload[i].request.kind(),
@@ -507,56 +468,82 @@ impl<D: Disk> QueryService<D> {
                         queue_depth: queue.len(),
                     }),
                 });
-                last_finish = last_finish.max(now);
             } else {
-                stats.admitted += 1;
                 queue.push_back(i);
             }
         }
         // Drain the queue.
         while let Some(head) = queue.pop_front() {
-            let start = server_free.max(workload[head].arrival_at());
-            let c = self.serve(head, &workload[head], start, &mut stats);
+            let start = server_free.max(workload[head].at);
+            let c = self.serve(head, &workload[head], start);
             server_free = c.finish;
-            last_finish = last_finish.max(c.finish);
             completions[head] = Some(c);
         }
 
-        stats.span_cycles = last_finish.saturating_sub(first_arrival);
-        self.obs.counter("serve.admitted", stats.admitted as f64);
-        self.obs.counter("serve.shed", stats.shed as f64);
-        self.obs.counter("serve.retried", stats.retried as f64);
-        ServiceReport {
+        let report = ServiceReport {
             completions: completions.into_iter().map(Option::unwrap).collect(),
-            stats,
+        };
+        if self.obs.is_enabled() {
+            for c in &report.completions {
+                self.request_spans(c);
+            }
+            let totals = report.totals();
+            self.obs.counter("serve.admitted", totals.admitted as f64);
+            self.obs.counter("serve.shed", totals.shed as f64);
+            self.obs.counter("serve.retried", totals.retried as f64);
         }
+        report
+    }
+
+    /// The per-request spans of a finished request: `admission.shed`
+    /// for a shed one, `admission.queue` and `serve.exec` for an
+    /// admitted one.
+    fn request_spans(&self, c: &Completion) {
+        let kind = || ("kind", ArgValue::Str(c.kind.into()));
+        let qid = || ("qid", ArgValue::U64(c.index as u64));
+        if let Err(QueryError::Overloaded { queue_depth }) = c.result {
+            self.obs
+                .span_at("admission.shed", "serve", c.arrival, 0, || {
+                    vec![
+                        kind(),
+                        ("queue_depth", ArgValue::U64(queue_depth as u64)),
+                        qid(),
+                    ]
+                });
+            return;
+        }
+        self.obs.span_at(
+            "admission.queue",
+            "serve",
+            c.arrival,
+            c.start - c.arrival,
+            || vec![kind(), qid()],
+        );
+        self.obs
+            .span_at("serve.exec", "serve", c.start, c.finish - c.start, || {
+                vec![
+                    kind(),
+                    qid(),
+                    ("retries", ArgValue::U64(u64::from(c.retries))),
+                    (
+                        "outcome",
+                        ArgValue::Str(if c.result.is_ok() { "ok" } else { "err" }.into()),
+                    ),
+                ]
+            });
     }
 
     /// Serves one admitted request at `start`, applying the deadline
     /// and retry policy. Returns its completion, with every cycle of
     /// `finish - arrival` attributed to a phase (queue wait, kernel or
     /// WAL attempts, retry backoff) so the tail is attributable.
-    fn serve(
-        &mut self,
-        index: usize,
-        arrival: &Arrival,
-        start: u64,
-        stats: &mut ServiceStats,
-    ) -> Completion {
+    fn serve(&mut self, index: usize, arrival: &Arrival, start: u64) -> Completion {
         let qid = index as u64;
-        let wait = start - arrival.at;
-        self.obs
-            .span_at("admission.queue", "serve", arrival.at, wait, || {
-                vec![
-                    ("kind", ArgValue::Str(arrival.request.kind().into())),
-                    ("qid", ArgValue::U64(qid)),
-                ]
-            });
         // Writes spend their service time in the WAL commit; queries
         // spend it in kernels.
         let is_write = !matches!(arrival.request, Request::Query { .. });
         let mut phases = PhaseBreakdown {
-            queue: wait,
+            queue: start - arrival.at,
             ..PhaseBreakdown::default()
         };
         let mut now = start;
@@ -597,28 +584,10 @@ impl<D: Disk> QueryService<D> {
                     now += gap;
                     phases.backoff += gap;
                     retries += 1;
-                    stats.retried += 1;
                 }
                 other => break other,
             }
         };
-        self.obs
-            .span_at("serve.exec", "serve", start, now - start, || {
-                vec![
-                    ("kind", ArgValue::Str(arrival.request.kind().into())),
-                    ("qid", ArgValue::U64(qid)),
-                    ("retries", ArgValue::U64(u64::from(retries))),
-                    (
-                        "outcome",
-                        ArgValue::Str(if result.is_ok() { "ok" } else { "err" }.into()),
-                    ),
-                ]
-            });
-        match &result {
-            Ok(_) => stats.succeeded += 1,
-            Err(_) => stats.failed += 1,
-        }
-        stats.busy_cycles += now - start;
         debug_assert_eq!(phases.total(), now - arrival.at);
         Completion {
             index,
@@ -631,12 +600,6 @@ impl<D: Disk> QueryService<D> {
             phases,
             result,
         }
-    }
-}
-
-impl Arrival {
-    fn arrival_at(&self) -> u64 {
-        self.at
     }
 }
 
@@ -862,7 +825,7 @@ mod tests {
             let mut s = seeded(ServiceConfig::default());
             let report = s.run(&workload);
             (
-                report.stats.clone(),
+                report.totals(),
                 report
                     .completions
                     .iter()
@@ -899,8 +862,8 @@ mod tests {
             ..Default::default()
         });
         let report = s.run(&workload);
-        assert_eq!(report.stats.shed, 4);
-        assert_eq!(report.stats.admitted, 2);
+        assert_eq!(report.totals().shed, 4);
+        assert_eq!(report.totals().admitted, 2);
         let shed: Vec<&Completion> = report
             .completions
             .iter()
@@ -935,7 +898,7 @@ mod tests {
         }
         // Deadline errors are fatal: no retries were burned.
         assert_eq!(report.completions[0].retries, 0);
-        assert_eq!(report.stats.retried, 0);
+        assert_eq!(report.totals().retried, 0);
     }
 
     #[test]
@@ -1032,9 +995,126 @@ mod tests {
         let c = &report.completions[0];
         assert!(c.result.is_ok(), "{:?}", c.result);
         assert_eq!(c.retries, 1);
-        assert_eq!(report.stats.retried, 1);
+        assert_eq!(report.totals().retried, 1);
         // The finish time includes the 500-cycle backoff gap.
         assert!(c.latency() >= 500);
+    }
+
+    /// Given out of arrival order: qid 1 runs first and faults once (one
+    /// retry), qid 2 queues behind it past its deadline, and of the three
+    /// arriving together at the latest cycle qid 4 finds the queue full.
+    fn mixed_run(observer: Observer) -> ServiceReport {
+        use dbx_core::RecoveryPolicy;
+        use dbx_faults::{FaultPlan, FaultTarget};
+        let q = |at| {
+            Arrival::new(
+                at,
+                Request::Query {
+                    table: "items".into(),
+                    predicate: Predicate::eq("color", 1).and(Predicate::eq("size", 9)),
+                },
+            )
+        };
+        let workload = [q(20_000), q(0), q(0), q(20_000), q(20_000)];
+        let mut s = seeded(ServiceConfig {
+            queue_cap: 2,
+            deadline: Some(600),
+            backoff_base: 500,
+            observer,
+            ..Default::default()
+        });
+        s.engine.options.policy = RecoveryPolicy::FailFast;
+        s.engine.options.protection = Some(dbx_faults::ProtectionKind::Parity);
+        s.engine.options.fault_plan =
+            Some(FaultPlan::new().with_bit_flip(FaultTarget::Dmem(0), 0, 1, 2));
+        s.run(&workload)
+    }
+
+    #[test]
+    fn the_request_spans_of_a_mixed_run() {
+        let (obs, sink) = Observer::memory();
+        mixed_run(obs);
+        let sink = sink.borrow();
+        let mut spans: Vec<String> = sink
+            .spans_of("serve")
+            .map(|sp| {
+                let args: Vec<String> = sp
+                    .args
+                    .iter()
+                    .map(|(k, v)| match v {
+                        ArgValue::U64(n) => format!("{k}={n}"),
+                        ArgValue::Str(s) => format!("{k}={s}"),
+                        ArgValue::F64(x) => format!("{k}={x}"),
+                    })
+                    .collect();
+                format!("{} {}+{} {}", sp.name, sp.start, sp.dur, args.join(" "))
+            })
+            .collect();
+        spans.sort();
+        // Recorded from the service before its spans were derived from
+        // the finished completions.
+        assert_eq!(
+            spans,
+            [
+                "admission.queue 0+0 kind=query qid=1",
+                "admission.queue 0+596 kind=query qid=2",
+                "admission.queue 20000+0 kind=query qid=0",
+                "admission.queue 20000+85 kind=query qid=3",
+                "admission.shed 20000+0 kind=query queue_depth=2 qid=4",
+                "serve.exec 0+596 kind=query qid=1 retries=1 outcome=ok",
+                "serve.exec 20000+85 kind=query qid=0 retries=0 outcome=ok",
+                "serve.exec 20085+85 kind=query qid=3 retries=0 outcome=ok",
+                "serve.exec 596+4 kind=query qid=2 retries=0 outcome=err",
+                "serve.kernel 0+11 qid=1 attempt=0",
+                "serve.kernel 20000+85 qid=0 attempt=0",
+                "serve.kernel 20085+85 qid=3 attempt=0",
+                "serve.kernel 511+85 qid=1 attempt=1",
+                "serve.kernel 596+4 qid=2 attempt=0",
+            ]
+        );
+        for (name, value) in [
+            ("serve.admitted", 4.0),
+            ("serve.shed", 1.0),
+            ("serve.retried", 1.0),
+        ] {
+            assert_eq!(
+                sink.counter_value(TrackId::Host, name),
+                Some(value),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_totals_of_a_mixed_run() {
+        let report = mixed_run(Observer::disabled());
+        let ok = |i: usize| report.completions[i].result.is_ok();
+        assert!(ok(0) && ok(1) && ok(3));
+        assert_eq!(report.completions[1].retries, 1);
+        assert!(matches!(
+            report.completions[2].result,
+            Err(QueryError::DeadlineExceeded { budget: 600 })
+        ));
+        assert!(matches!(
+            report.completions[4].result,
+            Err(QueryError::Overloaded { queue_depth: 2 })
+        ));
+        // The counts the service kept by hand for this run before they
+        // were derived from its records. The shed request is an `Err`
+        // but counts in `shed` alone; the span runs from qid 1's arrival
+        // to qid 3's finish.
+        assert_eq!(
+            report.totals(),
+            ServeTotals {
+                requests: 5,
+                admitted: 4,
+                shed: 1,
+                retried: 1,
+                succeeded: 3,
+                failed: 1,
+                span_cycles: 20_170,
+            }
+        );
     }
 
     #[test]
@@ -1117,7 +1197,7 @@ mod tests {
         let report = s.run(&workload);
         let records = report.records();
         assert_eq!(records.len(), workload.len());
-        let stats = &report.stats;
+        let stats = report.totals();
         assert!(stats.shed > 0, "burst must shed");
         // shed + succeeded + failed == requests, with no double count.
         assert_eq!(

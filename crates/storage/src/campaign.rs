@@ -19,6 +19,15 @@
 //!   [`StorageFaultPlan::seeded`]; recovery must still land on *some*
 //!   committed prefix and be idempotent (recovering twice changes
 //!   nothing).
+//! * **An LSN gap** — a middle segment loses its durable tail and the
+//!   newest snapshot is damaged, so the next segment starts past a hole
+//!   in the log.
+//!
+//! Every recovery is followed by a **second epoch**: the recovered
+//! store commits the rest of the workload fault-free, crashes and
+//! reopens, and must come back holding the recovered prefix plus every
+//! commit it acknowledged — a recovery that resumes the log where the
+//! next recovery cannot find it loses those commits here.
 //!
 //! Every recovered digest is folded into [`CampaignReport::digest`], so
 //! two hosts running the same seed must produce bit-identical reports.
@@ -166,6 +175,56 @@ fn fold(acc: u32, d: u32) -> u32 {
     crc32_update(acc, &d.to_le_bytes())
 }
 
+/// The second epoch on a store recovered to some committed prefix:
+/// commit the rest of the workload fault-free, crash, reopen, and check
+/// the reopened store holds the prefix plus every acknowledged commit.
+fn second_epoch(
+    mut store: Store<MemDisk>,
+    commits: &[Vec<TableOp>],
+    checkpoints: &[u32],
+    what: &str,
+    failures: &mut Vec<String>,
+    acc: &mut u32,
+) {
+    let prefix = store.generation() as usize;
+    if checkpoints.get(prefix) != Some(&store.state_digest()) {
+        failures.push(format!(
+            "{what}: recovered generation {prefix} does not hold commit prefix {prefix}"
+        ));
+        return;
+    }
+    store.disk_mut().set_fault_plan(StorageFaultPlan::new());
+    let mut acked = 0;
+    for batch in &commits[prefix..] {
+        let mut txn = store.begin();
+        for op in batch {
+            txn.push(op.clone());
+        }
+        if let Err(e) = store.commit(txn) {
+            failures.push(format!("{what}: second-epoch commit failed: {e}"));
+            break;
+        }
+        acked += 1;
+    }
+    let mut disk = store.into_disk();
+    disk.crash();
+    match Store::open(disk, StoreOptions::default()) {
+        Ok(s) => {
+            let want = prefix + acked;
+            let got = s.state_digest();
+            if s.generation() != want as u64 || got != checkpoints[want] {
+                failures.push(format!(
+                    "{what}: second epoch recovered generation {} (digest {got:#010x}), expected {want} ({:#010x})",
+                    s.generation(),
+                    checkpoints[want]
+                ));
+            }
+            *acc = fold(*acc, got);
+        }
+        Err(e) => failures.push(format!("{what}: second-epoch recovery failed: {e}")),
+    }
+}
+
 /// Runs the full campaign for one seed. Deterministic: same config in,
 /// same report out, on any host.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
@@ -223,13 +282,22 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             match Store::open(d, StoreOptions::default()) {
                 Ok(s) => {
                     let got = s.state_digest();
+                    let what = format!(
+                        "kill at offset {k}/{} (cadence {snapshot_every})",
+                        image.len()
+                    );
                     if got != want {
-                        failures.push(format!(
-                            "kill at offset {k}/{} (cadence {snapshot_every}): digest {got:#010x}, expected {want:#010x}",
-                            image.len()
-                        ));
+                        failures.push(format!("{what}: digest {got:#010x}, expected {want:#010x}"));
                     }
                     acc = fold(acc, got);
+                    second_epoch(
+                        s,
+                        &commits,
+                        &clean.checkpoints,
+                        &what,
+                        &mut failures,
+                        &mut acc,
+                    );
                 }
                 Err(e) => failures.push(format!(
                     "kill at offset {k} (cadence {snapshot_every}): recovery failed: {e}"
@@ -274,6 +342,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                             ));
                         }
                         *acc = fold(*acc, got);
+                        second_epoch(s, &commits, &clean.checkpoints, what, failures, acc);
                     }
                     Err(e) => failures.push(format!("{what}: recovery failed: {e}")),
                 }
@@ -344,6 +413,14 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                                 );
                             }
                             acc = fold(acc, got);
+                            second_epoch(
+                                s,
+                                &commits,
+                                &clean.checkpoints,
+                                "truncated snapshot",
+                                &mut failures,
+                                &mut acc,
+                            );
                         }
                         Err(e) => {
                             failures.push(format!("truncated snapshot: recovery failed: {e}"))
@@ -400,6 +477,14 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                                         s2.state_digest()
                                     ));
                                 }
+                                second_epoch(
+                                    s2,
+                                    &commits,
+                                    &clean.checkpoints,
+                                    &format!("storm {storm}"),
+                                    &mut failures,
+                                    &mut acc,
+                                );
                             }
                             Err(e) => {
                                 failures.push(format!("storm {storm}: second recovery failed: {e}"))
@@ -411,6 +496,67 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                 }
             }
             Err(e) => failures.push(format!("storm {storm}: workload failed: {e}")),
+        }
+        scenarios_run += 1;
+    }
+
+    // Pass 5: an LSN gap. Commit `gap` is the last frame of a middle
+    // segment (a snapshot follows it and the log rotates). That segment
+    // loses commit `gap`'s frame and every snapshot from `gap` on is
+    // damaged, so recovery replays up to `gap - 1` from the older
+    // snapshot, and the next segment begins at `gap + 1`.
+    let cadence = cfg.snapshot_every.max(2) as usize;
+    let gap = (n - 1) / cadence * cadence;
+    if gap > 0 {
+        match run_clean(&commits, cadence as u64, None) {
+            Ok(run) => {
+                let mut d = run.disk;
+                d.crash();
+                let (seg, _) = &run.positions[gap - 1];
+                let (_, keep) = &run.positions[gap - 2];
+                let image = d.durable_image(seg).expect("segment")[..*keep].to_vec();
+                d.set_file(seg, StorageFileClass::Wal, image);
+                for name in d.list() {
+                    if crate::snapshot::parse_snapshot_name(&name).is_some_and(|l| l >= gap as u64)
+                    {
+                        let image = d.durable_image(&name).expect("snapshot")[..4].to_vec();
+                        d.set_file(&name, StorageFileClass::Snapshot, image);
+                    }
+                }
+                match Store::open(d, StoreOptions::default()) {
+                    Ok(s) => {
+                        let got = s.state_digest();
+                        let want = clean.checkpoints[gap - 1];
+                        if got != want {
+                            failures.push(format!(
+                                "lsn gap at commit {gap}: digest {got:#010x}, expected checkpoint {} ({want:#010x})",
+                                gap - 1
+                            ));
+                        }
+                        if !s
+                            .recovery()
+                            .wal_damage
+                            .iter()
+                            .any(|d| d.contains("lsn gap"))
+                        {
+                            failures.push(format!(
+                                "lsn gap at commit {gap}: recovery did not report the gap"
+                            ));
+                        }
+                        acc = fold(acc, got);
+                        second_epoch(
+                            s,
+                            &commits,
+                            &clean.checkpoints,
+                            &format!("lsn gap at commit {gap}"),
+                            &mut failures,
+                            &mut acc,
+                        );
+                    }
+                    Err(e) => failures.push(format!("lsn gap: recovery failed: {e}")),
+                }
+            }
+            Err(e) => failures.push(format!("lsn gap: workload failed: {e}")),
         }
         scenarios_run += 1;
     }

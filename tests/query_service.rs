@@ -139,8 +139,8 @@ fn a_burst_beyond_queue_capacity_sheds_with_overloaded() {
     let report = svc.run(&burst);
     // All ten land on the same cycle, so the server hasn't started yet:
     // the queue fills to capacity and everything beyond is shed.
-    assert_eq!(report.stats.shed, 7);
-    assert_eq!(report.stats.admitted, 3);
+    assert_eq!(report.totals().shed, 7);
+    assert_eq!(report.totals().admitted, 3);
     for c in report.completions.iter().filter(|c| c.result.is_err()) {
         match c.result.as_ref().unwrap_err() {
             QueryError::Overloaded { queue_depth } => {
@@ -204,7 +204,7 @@ fn state_built_through_the_service_survives_crash_recovery() {
 
     let mut svc = QueryService::open(MemDisk::new(), MODEL, ServiceConfig::default()).unwrap();
     let report = svc.run(&workload);
-    assert_eq!(report.stats.succeeded, 7);
+    assert_eq!(report.totals().succeeded, 7);
     assert!(matches!(
         report.completions[6].result,
         Ok(Reply::Committed(_))
