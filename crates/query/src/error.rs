@@ -244,6 +244,11 @@ mod tests {
             QueryError::Storage(StorageError::Corrupt {
                 what: "frame".into(),
             }),
+            StorageError::HistoryPruned {
+                need_lsn: 1,
+                first_lsn: 9,
+            }
+            .into(),
         ];
         for e in fatal {
             assert!(!e.is_retryable(), "{e} must be fatal");

@@ -19,9 +19,14 @@
 //!   [`StorageFaultPlan::seeded`]; recovery must still land on *some*
 //!   committed prefix and be idempotent (recovering twice changes
 //!   nothing).
-//! * **An LSN gap** — a middle segment loses its durable tail and the
-//!   newest snapshot is damaged, so the next segment starts past a hole
-//!   in the log.
+//! * **An LSN gap** — the older retained segment loses its durable tail
+//!   and the newest snapshot is damaged, so the next segment starts past
+//!   a hole in the log.
+//! * **Retention** — both retained snapshots are damaged, so recovery
+//!   needs frames the checkpoints retired: it must fail with
+//!   [`StorageError::HistoryPruned`] and leave every file byte-identical.
+//!   The storms predict the same outcome wherever their faults damage
+//!   both retained snapshots.
 //!
 //! Every recovery is followed by a **second epoch**: the recovered
 //! store commits the rest of the workload fault-free, crashes and
@@ -35,7 +40,9 @@
 use crate::crc::crc32_update;
 use crate::disk::{Disk, MemDisk};
 use crate::record::TableOp;
+use crate::snapshot::{parse_snapshot_name, Snapshot};
 use crate::store::{Store, StoreOptions};
+use crate::wal::{parse_segment_name, scan_segment};
 use crate::StorageError;
 use dbx_faults::{StorageFaultPlan, StorageFileClass, XorShift64};
 use std::collections::BTreeSet;
@@ -225,6 +232,79 @@ fn second_epoch(
     }
 }
 
+/// The fault plan and snapshot cadence of storm `storm` over `n` commits.
+fn storm_plan(cfg: &CampaignConfig, storm: u64, n: usize) -> (StorageFaultPlan, u64) {
+    let storm_seed = cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(storm + 1));
+    let plan = StorageFaultPlan::seeded(storm_seed, 4, 2 * n as u64, 64);
+    let cadence = if storm.is_multiple_of(2) {
+        0
+    } else {
+        cfg.snapshot_every.max(2)
+    };
+    (plan, cadence)
+}
+
+/// Every file of a disk with both of its images.
+pub(crate) fn files(d: &MemDisk) -> Vec<(String, Vec<u8>, Vec<u8>)> {
+    d.list()
+        .into_iter()
+        .map(|name| {
+            let data = d.read(&name).expect("listed");
+            let durable = d.durable_image(&name).expect("listed").to_vec();
+            (name, data, durable)
+        })
+        .collect()
+}
+
+/// Predicts from a crashed disk whether recovery needs frames that
+/// retention removed: the newest snapshot that validates fixes the LSN
+/// replay must start at, and the chain's first frame (behind any empty
+/// segments, unless damage comes first) the LSN it can start from. A
+/// chain that starts at segment 1 was never pruned.
+fn predict_pruned(d: &MemDisk) -> Option<StorageError> {
+    let names = d.list();
+    let need_lsn = names
+        .iter()
+        .rev()
+        .filter(|n| parse_snapshot_name(n).is_some())
+        .find_map(|n| Snapshot::decode(d.durable_image(n)?).ok())
+        .map_or(0, |snap| snap.lsn)
+        + 1;
+    for (seq, name) in names
+        .iter()
+        .filter_map(|n| Some((parse_segment_name(n)?, n)))
+    {
+        let scan = scan_segment(d.durable_image(name)?);
+        if let Some((rec, _)) = scan.records.first() {
+            return (rec.lsn > need_lsn && seq > 1).then_some(StorageError::HistoryPruned {
+                need_lsn,
+                first_lsn: rec.lsn,
+            });
+        }
+        if scan.damage.is_some() {
+            return None;
+        }
+    }
+    None
+}
+
+/// Recovers a disk whose history was predicted pruned: recovery must
+/// fail with exactly `want` and leave every file as it found it.
+fn expect_pruned(mut d: MemDisk, want: &StorageError, what: &str, failures: &mut Vec<String>) {
+    let before = files(&d);
+    match Store::open(&mut d, StoreOptions::default()) {
+        Err(e) if e == *want => {}
+        Err(e) => failures.push(format!("{what}: recovery failed with {e}, expected {want}")),
+        Ok(s) => failures.push(format!(
+            "{what}: recovered generation {}, expected {want}",
+            s.generation()
+        )),
+    }
+    if files(&d) != before {
+        failures.push(format!("{what}: a failed recovery changed the disk"));
+    }
+}
+
 /// Runs the full campaign for one seed. Deterministic: same config in,
 /// same report out, on any host.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
@@ -386,7 +466,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     scenarios_run += 1;
 
     // Truncated snapshot: recovery must skip the damaged image and
-    // rebuild the full final state from the (never-pruned) WAL chain.
+    // rebuild the full final state from the snapshot before it (or the
+    // empty state) plus the retained segments.
     {
         let cadence = cfg.snapshot_every.max(2);
         let n_snaps = (n as u64) / cadence;
@@ -434,20 +515,16 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     }
 
     // Pass 4: seeded fault storms. Recovery must land on *some*
-    // committed prefix, and recovering again must be a fixed point.
+    // committed prefix, and recovering again must be a fixed point —
+    // unless the faults damaged both retained snapshots, which must fail
+    // as predicted.
     let prefix_digests: BTreeSet<u32> = clean.checkpoints.iter().copied().collect();
     let snap_prefixes: BTreeSet<u32> = match run_clean(&commits, cfg.snapshot_every.max(2), None) {
         Ok(c) => c.checkpoints.iter().copied().collect(),
         Err(_) => prefix_digests.clone(),
     };
     for storm in 0..3u64 {
-        let storm_seed = cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(storm + 1));
-        let plan = StorageFaultPlan::seeded(storm_seed, 4, 2 * n as u64, 64);
-        let cadence = if storm % 2 == 0 {
-            0
-        } else {
-            cfg.snapshot_every.max(2)
-        };
+        let (plan, cadence) = storm_plan(cfg, storm, n);
         let valid = if cadence == 0 {
             &prefix_digests
         } else {
@@ -457,6 +534,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             Ok(run) => {
                 let mut disk = run.disk;
                 disk.crash();
+                if let Some(want) = predict_pruned(&disk) {
+                    expect_pruned(disk, &want, &format!("storm {storm}"), &mut failures);
+                    scenarios_run += 1;
+                    continue;
+                }
                 match Store::open(disk, StoreOptions::default()) {
                     Ok(s) => {
                         let got = s.state_digest();
@@ -500,15 +582,18 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         scenarios_run += 1;
     }
 
-    // Pass 5: an LSN gap. Commit `gap` is the last frame of a middle
-    // segment (a snapshot follows it and the log rotates). That segment
-    // loses commit `gap`'s frame and every snapshot from `gap` on is
-    // damaged, so recovery replays up to `gap - 1` from the older
-    // snapshot, and the next segment begins at `gap + 1`.
+    // Pass 5: an LSN gap. The workload stops short of a checkpoint on its
+    // final commit, so commit `gap`, the newest snapshot's LSN, is the
+    // last frame of the older retained segment and the next segment holds
+    // the commits after it. That segment loses commit `gap`'s frame and
+    // the newest snapshot is damaged, so recovery replays up to `gap - 1`
+    // from the retained snapshot before it (or the empty state), and the
+    // next segment begins at `gap + 1`.
     let cadence = cfg.snapshot_every.max(2) as usize;
-    let gap = (n - 1) / cadence * cadence;
+    let len = if n.is_multiple_of(cadence) { n - 1 } else { n };
+    let gap = len / cadence * cadence;
     if gap > 0 {
-        match run_clean(&commits, cadence as u64, None) {
+        match run_clean(&commits[..len], cadence as u64, None) {
             Ok(run) => {
                 let mut d = run.disk;
                 d.crash();
@@ -561,6 +646,35 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         scenarios_run += 1;
     }
 
+    // Pass 6: both retained snapshots damaged. The checkpoint at the
+    // newest one retired every segment up to the older one, so recovery
+    // would need frames 1..=older from a log that starts after it.
+    let n_snaps = (n / cadence) as u64;
+    if n_snaps >= 2 {
+        let older = (n_snaps - 1) * cadence as u64;
+        let keep = 4 + rng.below(20) as usize;
+        let plan = StorageFaultPlan::new()
+            .with_truncated_snapshot(2 * n_snaps - 3, keep)
+            .with_truncated_snapshot(2 * n_snaps - 1, keep);
+        let what = format!("both retained snapshots truncated (keep {keep})");
+        match run_clean(&commits, cadence as u64, Some(plan)) {
+            Ok(run) => {
+                let mut disk = run.disk;
+                disk.crash();
+                let want = StorageError::HistoryPruned {
+                    need_lsn: 1,
+                    first_lsn: older + 1,
+                };
+                if predict_pruned(&disk).as_ref() != Some(&want) {
+                    failures.push(format!("{what}: the storm predictor disagrees"));
+                }
+                expect_pruned(disk, &want, &what, &mut failures);
+            }
+            Err(e) => failures.push(format!("{what}: workload failed: {e}")),
+        }
+        scenarios_run += 1;
+    }
+
     CampaignReport {
         seed: cfg.seed,
         offsets_tested,
@@ -605,6 +719,27 @@ mod tests {
         assert!(a.ok(), "failures: {:#?}", a.failures);
         assert_eq!(a.digest, b.digest);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_storm_that_damages_both_retained_snapshots_is_predicted() {
+        // At seed 1200, storm 1's faults damage the snapshots at LSN 8
+        // and 12, so recovery needs frames the checkpoint at 12 retired.
+        let cfg = CampaignConfig {
+            seed: 1200,
+            ..Default::default()
+        };
+        let commits = generate_commits(cfg.seed, cfg.commits);
+        let (plan, cadence) = storm_plan(&cfg, 1, commits.len());
+        let mut disk = run_clean(&commits, cadence, Some(plan)).unwrap().disk;
+        disk.crash();
+        let want = StorageError::HistoryPruned {
+            need_lsn: 1,
+            first_lsn: 9,
+        };
+        assert_eq!(predict_pruned(&disk), Some(want));
+        let report = run_campaign(&cfg);
+        assert!(report.ok(), "failures: {:#?}", report.failures);
     }
 
     #[test]

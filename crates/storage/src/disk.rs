@@ -46,6 +46,35 @@ pub trait Disk {
     }
 }
 
+/// A borrowed disk is a disk: a store opened over `&mut disk` leaves
+/// the disk with its owner, who can inspect it after a failed open.
+impl<D: Disk + ?Sized> Disk for &mut D {
+    fn create(&mut self, name: &str, class: StorageFileClass) -> Result<(), StorageError> {
+        (**self).create(name, class)
+    }
+    fn append(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError> {
+        (**self).append(name, data)
+    }
+    fn truncate(&mut self, name: &str, len: usize) -> Result<(), StorageError> {
+        (**self).truncate(name, len)
+    }
+    fn fsync(&mut self, name: &str) -> Result<(), StorageError> {
+        (**self).fsync(name)
+    }
+    fn remove(&mut self, name: &str) -> Result<(), StorageError> {
+        (**self).remove(name)
+    }
+    fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
+        (**self).read(name)
+    }
+    fn list(&self) -> Vec<String> {
+        (**self).list()
+    }
+    fn exists(&self, name: &str) -> bool {
+        (**self).exists(name)
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct MemFile {
     class: Option<StorageFileClass>,
@@ -210,8 +239,14 @@ impl Disk for MemDisk {
     }
 
     fn remove(&mut self, name: &str) -> Result<(), StorageError> {
-        self.files.remove(name);
-        Ok(())
+        match self.files.remove(name) {
+            Some(_) => Ok(()),
+            None => Err(StorageError::Io {
+                op: "remove".into(),
+                file: name.into(),
+                detail: "no such file".into(),
+            }),
+        }
     }
 
     fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
@@ -513,6 +548,26 @@ mod tests {
         assert_eq!(d.read("wal-1").unwrap(), b"hello");
         d.remove("wal-1").unwrap();
         assert!(!d.exists("wal-1"));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn removing_a_missing_file_is_an_error_on_both_backends() {
+        let root = std::env::temp_dir().join(format!("dbx-storage-remove-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut dir = DirDisk::open(&root).unwrap();
+        let mut mem = MemDisk::new();
+        let disks: [&mut dyn Disk; 2] = [&mut dir, &mut mem];
+        for d in disks {
+            d.create("wal-1", StorageFileClass::Wal).unwrap();
+            d.remove("wal-1").unwrap();
+            match d.remove("wal-1") {
+                Err(StorageError::Io { op, file, .. }) => {
+                    assert_eq!((op.as_str(), file.as_str()), ("remove", "wal-1"));
+                }
+                other => panic!("expected an Io error, got {other:?}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 }

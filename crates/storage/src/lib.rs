@@ -16,7 +16,9 @@
 //! and under torn writes, bit flips, dropped fsyncs, and truncated
 //! snapshots, asserting that recovery always lands on exactly the
 //! longest fully durable committed prefix — bit-identically on every
-//! host.
+//! host — or, where the faults damaged both snapshots a checkpoint
+//! retains, fails with [`StorageError::HistoryPruned`] and touches no
+//! file.
 //!
 //! Layering: this crate sits *below* `dbx-query` (which wraps
 //! [`TableImage`]s into indexed tables and serves them) and depends only
@@ -103,6 +105,17 @@ pub enum StorageError {
         /// What failed to validate.
         what: String,
     },
+    /// Recovery needs WAL frames that retention already removed: no
+    /// retained snapshot validates back far enough, and the oldest frame
+    /// on the disk lies past the LSN replay has to start at. Recovery
+    /// changes no file when it returns this.
+    HistoryPruned {
+        /// The LSN replay has to start at (one past the newest valid
+        /// snapshot, or 1 without one).
+        need_lsn: u64,
+        /// The LSN of the oldest frame on the disk.
+        first_lsn: u64,
+    },
 }
 
 impl StorageError {
@@ -154,6 +167,13 @@ impl std::fmt::Display for StorageError {
                 write!(f, "{op} on {file:?} failed: {detail}")
             }
             StorageError::Corrupt { what } => write!(f, "corrupt storage: {what}"),
+            StorageError::HistoryPruned {
+                need_lsn,
+                first_lsn,
+            } => write!(
+                f,
+                "history pruned: recovery needs the log from LSN {need_lsn}, the oldest frame on disk is LSN {first_lsn}"
+            ),
         }
     }
 }
@@ -196,6 +216,10 @@ mod tests {
             },
             StorageError::Corrupt {
                 what: "frame".into(),
+            },
+            StorageError::HistoryPruned {
+                need_lsn: 1,
+                first_lsn: 9,
             },
         ] {
             assert!(!err.is_retryable(), "{err} must not be retryable");

@@ -13,12 +13,17 @@
 //! `snap-<lsn>.img` with a 16-digit zero-padded LSN so lexicographic
 //! order is LSN order.
 //!
-//! Snapshots are written to a fresh file and fsynced; the WAL is never
-//! pruned, so a snapshot that turns out torn, bit-flipped, or
-//! truncated at recovery time is simply skipped — recovery falls back
-//! to the next-older valid snapshot, or the empty state plus a full
-//! replay. Validation is strict: bad magic, short body, or a CRC
-//! mismatch all disqualify the file.
+//! Snapshots are written to a fresh file and fsynced. Each checkpoint
+//! keeps the two newest snapshots and the WAL segments after the older
+//! one (see [`crate::store::RETAINED_SNAPSHOTS`]), so a snapshot that
+//! turns out torn, bit-flipped, or truncated at recovery time is simply
+//! skipped — recovery falls back to the snapshot before it (or, before
+//! anything was retired, the empty state plus a full replay). When both
+//! retained snapshots are damaged the frames before the older one are
+//! gone, and recovery fails with
+//! [`StorageError::HistoryPruned`].
+//! Validation is strict: bad magic, short body, or a CRC mismatch all
+//! disqualify the file.
 
 use crate::crc::crc32;
 use crate::disk::Disk;

@@ -27,12 +27,15 @@
 //! fsync at (3) — loses at most the uncommitted suffix, which is
 //! exactly what [`Store::open`] truncates away on replay. Every
 //! `snapshot_every` commits the store writes a `snap-<lsn>.img`
-//! checkpoint and rotates the WAL segment; segments are never pruned
-//! (see the [`crate::wal`] docs for why).
+//! checkpoint, rotates the WAL segment and retires old history: it
+//! keeps the [`RETAINED_SNAPSHOTS`] newest snapshots and every segment
+//! holding a frame past the older of them (see the [`crate::wal`] docs).
+//! The footprint follows the live tables, not the length of history,
+//! and recovery survives one damaged snapshot, not any number of them.
 
 use crate::disk::Disk;
 use crate::record::{self, Columns, TableImage, TableOp, WalRecord};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{snapshot_name, Snapshot};
 use crate::wal::Wal;
 use crate::StorageError;
 use dbx_observe::{ArgValue, Observer, TrackId};
@@ -42,6 +45,11 @@ use std::sync::Arc;
 /// Fixed span-cost model: every storage span costs `SPAN_BASE + bytes`
 /// host cycles, so traces are deterministic in the cycle domain.
 const SPAN_BASE: u64 = 64;
+
+/// Snapshots a checkpoint keeps: the one it writes and the one before
+/// it, so a damaged newest snapshot still recovers from its predecessor
+/// plus the segments in between.
+pub const RETAINED_SNAPSHOTS: usize = 2;
 
 /// Tuning knobs for [`Store::open`].
 #[derive(Debug, Clone)]
@@ -189,14 +197,17 @@ pub struct Store<D: Disk> {
     recovery: RecoveryReport,
     last_commit_pos: Option<(String, usize)>,
     /// LSNs of the snapshot files on the disk: listed once by recovery,
-    /// kept current by [`Snapshot::write`].
+    /// kept current by [`Snapshot::write`] and retirement.
     snapshots: BTreeSet<u64>,
 }
 
 impl<D: Disk> Store<D> {
     /// Opens the store, running deterministic recovery: load the newest
     /// valid snapshot (skipping damaged ones), replay the WAL suffix,
-    /// truncate the log at the first corrupt frame.
+    /// truncate the log at the first corrupt frame, and remove the
+    /// damaged snapshots it skipped. Fails with
+    /// [`StorageError::HistoryPruned`], changing no file, when the
+    /// frames replay needs were retired.
     pub fn open(mut disk: D, opts: StoreOptions) -> Result<Self, StorageError> {
         let obs = opts.observer.on_track(TrackId::Host);
         let mut report = RecoveryReport::default();
@@ -204,6 +215,8 @@ impl<D: Disk> Store<D> {
         // 1. Newest valid snapshot, or the empty state.
         let loaded = Snapshot::load_latest(&disk);
         report.snapshots_skipped = loaded.skipped;
+        // Every snapshot newer than the one loaded was skipped as damaged.
+        let first_damaged = loaded.snapshot.as_ref().map_or(0, |s| s.lsn + 1);
         let (mut tables, snap_lsn) = match loaded.snapshot {
             Some(s) => (s.tables, s.lsn),
             None => (BTreeMap::new(), 0),
@@ -245,6 +258,13 @@ impl<D: Disk> Store<D> {
         obs.counter("storage.frames_replayed", replay.frames_replayed as f64);
         obs.counter("storage.frames_truncated", replay.frames_truncated as f64);
 
+        // 3. Drop the damaged snapshots, as replay drops WAL damage, so
+        // retention never counts one as a fallback.
+        let mut snapshots = loaded.on_disk;
+        for lsn in snapshots.split_off(&first_damaged) {
+            disk.remove(&snapshot_name(lsn))?;
+        }
+
         Ok(Store {
             disk,
             wal,
@@ -257,7 +277,7 @@ impl<D: Disk> Store<D> {
             commits_since_snapshot: generation - snap_lsn,
             recovery: report,
             last_commit_pos: None,
-            snapshots: loaded.on_disk,
+            snapshots,
         })
     }
 
@@ -346,9 +366,13 @@ impl<D: Disk> Store<D> {
         Ok(self.generation)
     }
 
-    /// Writes a checkpoint of the current catalog and rotates the WAL
-    /// segment. Normally driven by `snapshot_every`, public for tests
-    /// and shutdown paths.
+    /// Writes a checkpoint of the current catalog, rotates the WAL
+    /// segment and retires the history recovery no longer needs: every
+    /// snapshot older than the [`RETAINED_SNAPSHOTS`] newest, then, oldest
+    /// first, every segment whose frames all lie at or below the oldest
+    /// snapshot kept. A crash part-way through leaves only extra files,
+    /// which recovery skips and the next checkpoint retires. Normally
+    /// driven by `snapshot_every`, public for tests and shutdown paths.
     pub fn take_snapshot(&mut self) -> Result<(), StorageError> {
         let snap = Snapshot {
             lsn: self.generation,
@@ -357,6 +381,13 @@ impl<D: Disk> Store<D> {
         let image_len = snap.write(&mut self.disk, &mut self.snapshots)? as u64;
         self.wal.rotate(&mut self.disk)?;
         self.commits_since_snapshot = 0;
+        if let Some(&oldest_kept) = self.snapshots.iter().nth_back(RETAINED_SNAPSHOTS - 1) {
+            while let Some(&lsn) = self.snapshots.first().filter(|&&l| l < oldest_kept) {
+                self.disk.remove(&snapshot_name(lsn))?;
+                self.snapshots.remove(&lsn);
+            }
+            self.wal.retire_through(&mut self.disk, oldest_kept)?;
+        }
         self.obs
             .place("snapshot.write", "storage", SPAN_BASE + image_len, || {
                 vec![
@@ -481,7 +512,6 @@ fn check_equal_lengths(table: &str, cols: &Columns) -> Result<(), StorageError> 
 mod tests {
     use super::*;
     use crate::disk::MemDisk;
-    use crate::snapshot::snapshot_name;
     use dbx_faults::StorageFileClass;
     use std::cell::Cell;
 
@@ -838,7 +868,8 @@ mod tests {
         // (file, length, CRC-32) of every WAL segment and snapshot after a
         // fixed history, recorded before the sliced CRC, the in-place
         // snapshot encode and the delta fsync: none of them may move a
-        // byte.
+        // byte. The checkpoint at LSN 6 retired `wal-00000001.seg`, whose
+        // frames all lie at or below the snapshot at LSN 3.
         let mut store = Store::open(
             MemDisk::new(),
             StoreOptions {
@@ -903,7 +934,6 @@ mod tests {
         let pinned = [
             ("snap-0000000000000003.img", 6186, 2_948_202_284),
             ("snap-0000000000000006.img", 4578, 1_960_152_871),
-            ("wal-00000001.seg", 6258, 3_537_399_865),
             ("wal-00000002.seg", 935, 351_927_782),
             ("wal-00000003.seg", 70, 153_063_457),
         ];
@@ -952,9 +982,9 @@ mod tests {
     #[test]
     fn commits_neither_list_nor_read_the_disk() {
         // Reopen a store with history (two snapshots, and a damaged file
-        // where the next snapshot will go, which it must replace) and run
-        // a fault-free history of creates, appends and drops across eight
-        // snapshot rotations.
+        // where the next snapshot will go, which recovery must drop) and
+        // run a fault-free history of creates, appends and drops across
+        // eight snapshot rotations, each of which retires old files.
         let opts = || StoreOptions {
             snapshot_every: 8,
             ..Default::default()
@@ -982,6 +1012,7 @@ mod tests {
         let mut store = Store::open(disk, opts()).unwrap();
         assert_eq!(store.generation(), 19);
         assert_eq!(store.recovery().snapshots_skipped.len(), 1);
+        assert!(!store.disk().inner.exists(&snapshot_name(24)));
         let (lists, reads) = (store.disk().lists.get(), store.disk().reads.get());
         assert!(lists > 0 && reads > 0, "recovery lists and reads");
 
@@ -1000,14 +1031,152 @@ mod tests {
         assert_eq!(store.disk().lists.get(), lists, "a commit listed the disk");
         assert_eq!(store.disk().reads.get(), reads, "a commit read the disk");
 
-        // The history is whole: the rewritten snapshot at 24 validates,
-        // and recovery from the final disk lands on the same state.
+        // The history is whole: both retained snapshots validate, and
+        // recovery from the final disk lands on the same state.
         let digest = store.state_digest();
         let disk = store.into_disk().inner;
-        assert!(Snapshot::load_latest(&disk).skipped.is_empty());
+        let (snaps, _) = history(&disk);
+        assert_eq!(snaps, [72, 80]);
+        for lsn in snaps {
+            Snapshot::decode(&disk.read(&snapshot_name(lsn)).unwrap()).unwrap();
+        }
         let reopened = Store::open(disk, StoreOptions::default()).unwrap();
         assert_eq!(reopened.recovery().snapshot_lsn, 80);
         assert_eq!(reopened.state_digest(), digest);
+    }
+
+    /// A `serve_mixed`-shaped history at `snapshot_every: 8`: four
+    /// 2,048-row, 3-column tables, then `commits` commits of 1-16-row
+    /// appends and drop-recreates. `check` sees the store after every
+    /// commit.
+    fn mixed_history(commits: u32, mut check: impl FnMut(&Store<MemDisk>)) -> Store<MemDisk> {
+        let mut rng = dbx_faults::XorShift64::new(0x5e_12e);
+        let mut rows = |n: u64| -> Columns {
+            ["color", "size", "region"]
+                .iter()
+                .map(|c| {
+                    (
+                        c.to_string(),
+                        (0..n).map(|_| rng.next_u32() % 128).collect(),
+                    )
+                })
+                .collect()
+        };
+        let opts = StoreOptions {
+            snapshot_every: 8,
+            ..Default::default()
+        };
+        let mut store = Store::open(MemDisk::new(), opts).unwrap();
+        let mut ops: Vec<TableOp> = (0..4)
+            .map(|t| TableOp::Create {
+                name: format!("t{t}"),
+                columns: rows(2048),
+            })
+            .collect();
+        for i in 0..commits {
+            let name = format!("t{}", i % 4);
+            match i % 10 {
+                0 => ops.extend([
+                    TableOp::Drop { name: name.clone() },
+                    TableOp::Create {
+                        name,
+                        columns: rows(2048),
+                    },
+                ]),
+                _ => ops.push(TableOp::Append {
+                    name,
+                    rows: rows(1 + u64::from(i % 16)),
+                }),
+            }
+        }
+        for op in ops.into_iter().take(4 + commits as usize) {
+            let mut txn = store.begin();
+            txn.push(op);
+            store.commit(txn).unwrap();
+            check(&store);
+        }
+        store
+    }
+
+    /// The snapshot LSNs and segment numbers on a disk.
+    fn history(disk: &MemDisk) -> (Vec<u64>, Vec<u64>) {
+        let names = disk.list();
+        let snaps = names
+            .iter()
+            .filter_map(|n| crate::snapshot::parse_snapshot_name(n));
+        let segs = names
+            .iter()
+            .filter_map(|n| crate::wal::parse_segment_name(n));
+        (snaps.collect(), segs.collect())
+    }
+
+    #[test]
+    fn a_long_history_keeps_a_bounded_footprint() {
+        let mut most = (0, 0);
+        let store = mixed_history(2_000, |store| {
+            let (snaps, segs) = history(store.disk());
+            most = (most.0.max(snaps.len()), most.1.max(segs.len()));
+        });
+        assert_eq!(store.generation(), 2_004);
+        assert!(most.0 <= 2 && most.1 <= 3, "at most {most:?} files");
+        let (snaps, segs) = history(store.disk());
+        assert_eq!(snaps, [1_992, 2_000]);
+        // The segment the snapshot at 2,000 sealed, and the open one.
+        assert_eq!(segs, [250, 251]);
+        let digest = store.state_digest();
+        let mut disk = store.into_disk();
+        disk.crash();
+        let reopened = Store::open(disk, StoreOptions::default()).unwrap();
+        assert_eq!(reopened.generation(), 2_004);
+        assert_eq!(reopened.state_digest(), digest);
+    }
+
+    /// Cuts a snapshot's durable image to its header.
+    fn damage_snapshot(disk: &mut MemDisk, lsn: u64) {
+        let name = snapshot_name(lsn);
+        let image = disk.durable_image(&name).unwrap()[..16].to_vec();
+        disk.set_file(&name, StorageFileClass::Snapshot, image);
+    }
+
+    #[test]
+    fn a_damaged_newest_snapshot_recovers_every_acknowledged_commit() {
+        let store = mixed_history(60, |_| {});
+        let digest = store.state_digest();
+        let mut disk = store.into_disk();
+        disk.crash();
+        assert_eq!(history(&disk).0, [56, 64]);
+        damage_snapshot(&mut disk, 64);
+        let mut store = Store::open(disk, StoreOptions::default()).unwrap();
+        assert_eq!(store.recovery().snapshot_lsn, 56);
+        assert_eq!(store.generation(), 64);
+        assert_eq!(store.state_digest(), digest);
+        // Recovery dropped the damaged file; the next checkpoint keeps
+        // the snapshot recovery loaded as its fallback.
+        assert_eq!(history(store.disk()).0, [56]);
+        store.take_snapshot().unwrap();
+        assert_eq!(history(store.disk()).0, [56, 64]);
+        assert!(Snapshot::load_latest(store.disk()).skipped.is_empty());
+    }
+
+    #[test]
+    fn two_damaged_retained_snapshots_fail_recovery_and_change_nothing() {
+        let store = mixed_history(60, |_| {});
+        let mut disk = store.into_disk();
+        disk.crash();
+        damage_snapshot(&mut disk, 56);
+        damage_snapshot(&mut disk, 64);
+        let files = crate::campaign::files;
+        let before = files(&disk);
+        let err = Store::open(&mut disk, StoreOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::HistoryPruned {
+                need_lsn: 1,
+                first_lsn: 57
+            }
+        );
+        assert!(!err.is_retryable());
+        assert_eq!(files(&disk), before);
     }
 
     #[test]

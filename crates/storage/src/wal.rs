@@ -9,11 +9,15 @@
 //! The log is a chain of segments named `wal-NNNNNNNN.seg` (8-digit
 //! zero-padded sequence number). A new segment is started whenever a
 //! snapshot is taken, so a recovery that starts from snapshot LSN `s`
-//! only replays segments that can contain records after `s`. Segments
-//! are **never pruned**: snapshots are a recovery-speed optimization,
-//! not the source of truth, so a corrupt or torn snapshot can always
-//! fall back to an older snapshot (or the empty state) and replay the
-//! full chain.
+//! only replays segments that can contain records after `s`. The chain
+//! is **pruned at each checkpoint**: the store keeps its two newest
+//! snapshots, and [`Wal::retire_through`] removes the oldest segments
+//! while every frame in them lies at or below the older one. The two
+//! retained snapshots are therefore part of the source of truth: a
+//! damaged newest snapshot falls back to the one before it plus the
+//! segments in between, but when both are damaged the frames recovery
+//! would need are gone and replay fails with
+//! [`StorageError::HistoryPruned`] instead of guessing.
 //!
 //! Replay is torn-write and short-read tolerant: it walks frames in
 //! order, stops at the first frame whose header is short, whose payload
@@ -26,6 +30,7 @@ use crate::crc::crc32;
 use crate::disk::Disk;
 use crate::record::WalRecord;
 use crate::StorageError;
+use std::collections::BTreeMap;
 
 /// Frame header size: `len` + `crc`.
 pub const FRAME_HEADER: usize = 8;
@@ -116,10 +121,11 @@ pub struct WalReplay {
     /// Frames discarded as torn/corrupt (at most 1 per damaged segment,
     /// counted as the whole invalid tail).
     pub frames_truncated: u64,
-    /// Highest segment sequence number seen (0 when the chain is empty).
-    pub last_segment: u64,
-    /// Byte length of that segment once replay is done with it (after
-    /// any truncation of a damaged tail).
+    /// Every segment replay kept, by sequence number, with the highest
+    /// LSN of a frame it holds (0 for none).
+    pub segments: BTreeMap<u64, u64>,
+    /// Byte length of the newest kept segment once replay is done with
+    /// it (after any truncation of a damaged tail).
     pub last_segment_len: usize,
     /// Human-readable damage descriptions, if any.
     pub damage: Vec<String>,
@@ -137,6 +143,12 @@ pub struct Wal {
     /// one is absent: replay deletes those after damage, and rotation
     /// only ever moves to a new, higher number.
     open_len: Option<usize>,
+    /// Highest LSN appended to the open segment (0 for none).
+    open_lsn: u64,
+    /// Every other segment on the disk, by sequence number, with the
+    /// highest LSN of a frame it holds: filled from replay's listing,
+    /// kept current by rotation and retirement.
+    sealed: BTreeMap<u64, u64>,
 }
 
 impl Wal {
@@ -146,19 +158,25 @@ impl Wal {
         Wal {
             open_segment: open_segment.max(1),
             open_len: None,
+            open_lsn: 0,
+            sealed: BTreeMap::new(),
         }
     }
 
     /// Resumes the log that `replay` recovered: new frames go after the
     /// bytes replay kept in the newest segment (segment 1 on an empty
-    /// chain). Asks the disk nothing — replay already listed and read it.
+    /// chain), and the older segments are sealed. Asks the disk nothing —
+    /// replay already listed and read it.
     pub fn resume(replay: &WalReplay) -> Self {
-        if replay.last_segment == 0 {
-            return Wal::new(1);
-        }
-        Wal {
-            open_segment: replay.last_segment,
-            open_len: Some(replay.last_segment_len),
+        let mut sealed = replay.segments.clone();
+        match sealed.pop_last() {
+            None => Wal::new(1),
+            Some((open_segment, open_lsn)) => Wal {
+                open_segment,
+                open_len: Some(replay.last_segment_len),
+                open_lsn,
+                sealed,
+            },
         }
     }
 
@@ -208,6 +226,7 @@ impl Wal {
         };
         disk.append(&name, &frame)?;
         self.open_len = Some(len + frame.len());
+        self.open_lsn = rec.lsn;
         Ok(frame.len())
     }
 
@@ -224,8 +243,25 @@ impl Wal {
     /// snapshot is taken so recovery can skip old segments).
     pub fn rotate<D: Disk>(&mut self, disk: &mut D) -> Result<(), StorageError> {
         self.sync(disk)?;
+        if self.open_len.take().is_some() {
+            self.sealed.insert(self.open_segment, self.open_lsn);
+        }
         self.open_segment += 1;
-        self.open_len = None;
+        self.open_lsn = 0;
+        Ok(())
+    }
+
+    /// Removes sealed segments, oldest first, while every frame in them
+    /// has an LSN at or below `lsn`, so the segments left are always a
+    /// contiguous suffix of the chain. The open segment stays.
+    pub fn retire_through<D: Disk>(&mut self, disk: &mut D, lsn: u64) -> Result<(), StorageError> {
+        while let Some((&seq, &last)) = self.sealed.first_key_value() {
+            if last > lsn {
+                break;
+            }
+            disk.remove(&segment_name(seq))?;
+            self.sealed.remove(&seq);
+        }
         Ok(())
     }
 
@@ -242,11 +278,20 @@ impl Wal {
     /// segment holding the gap is truncated at the end of its last
     /// in-order frame, like a torn tail, so the resumed log appends
     /// where the next recovery will find it.
+    ///
+    /// A gap *before* the chain's first frame, in a chain that no longer
+    /// starts at segment 1, is different: the frames replay needs were
+    /// retired with the snapshots that covered them, so replay returns
+    /// [`StorageError::HistoryPruned`] having removed, truncated and
+    /// fsynced nothing. (A chain that still starts at segment 1 was never
+    /// pruned; a first frame past `after_lsn + 1` there means frames were
+    /// lost, which is repaired like any other gap.)
     pub fn replay<D: Disk>(disk: &mut D, after_lsn: u64) -> Result<WalReplay, StorageError> {
         let segs = Self::segments(disk);
         let mut out = WalReplay::default();
         let mut stop = false;
         let mut expected = after_lsn + 1;
+        let mut first_frame = true;
         for (seq, name) in segs {
             if stop {
                 // Everything after a damaged segment is past the end of
@@ -258,25 +303,31 @@ impl Wal {
             }
             let bytes = disk.read(&name)?;
             let scan = scan_segment(&bytes);
-            out.last_segment = seq;
-            // End of the last frame replay keeps in this segment.
-            let mut kept = 0;
+            // End and LSN of the last frame replay keeps in this segment.
+            let (mut kept, mut kept_lsn) = (0, 0);
             let mut damage = scan.damage.map(|d| format!("{name}: {d}"));
             for (rec, end) in scan.records {
-                if rec.lsn > after_lsn {
-                    if rec.lsn != expected {
-                        damage = Some(format!(
-                            "{name}: lsn gap: expected {expected}, found {}",
-                            rec.lsn
-                        ));
+                if std::mem::take(&mut first_frame) && rec.lsn > expected && seq > 1 {
+                    // Nothing has been modified yet: every earlier
+                    // segment was empty and undamaged.
+                    return Err(StorageError::HistoryPruned {
+                        need_lsn: expected,
+                        first_lsn: rec.lsn,
+                    });
+                }
+                let lsn = rec.lsn;
+                if lsn > after_lsn {
+                    if lsn != expected {
+                        damage = Some(format!("{name}: lsn gap: expected {expected}, found {lsn}"));
                         break;
                     }
                     expected += 1;
                     out.frames_replayed += 1;
                     out.records.push(rec);
                 }
-                kept = end;
+                (kept, kept_lsn) = (end, lsn);
             }
+            out.segments.insert(seq, kept_lsn);
             out.last_segment_len = kept;
             if kept < bytes.len() {
                 out.frames_truncated += 1;
@@ -470,6 +521,64 @@ mod tests {
     }
 
     #[test]
+    fn retirement_removes_the_oldest_segments_up_to_an_lsn() {
+        let mut disk = MemDisk::new();
+        let mut wal = Wal::new(1);
+        for lsn in 1..=6 {
+            wal.append(&mut disk, &rec(lsn)).unwrap();
+            if lsn % 2 == 0 {
+                wal.rotate(&mut disk).unwrap();
+            }
+        }
+        wal.append(&mut disk, &rec(7)).unwrap();
+        // Segment 2 holds LSN 3 and 4: it stays, and so does segment 3.
+        wal.retire_through(&mut disk, 3).unwrap();
+        let names = |d: &MemDisk| {
+            Wal::segments(d)
+                .into_iter()
+                .map(|(seq, _)| seq)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(&disk), [2, 3, 4]);
+        // The open segment stays whatever the LSN.
+        wal.retire_through(&mut disk, 100).unwrap();
+        assert_eq!(names(&disk), [4]);
+        // A resumed log knows what is sealed without listing again.
+        let mut wal = Wal::resume(&Wal::replay(&mut disk, 6).unwrap());
+        wal.rotate(&mut disk).unwrap();
+        wal.retire_through(&mut disk, 7).unwrap();
+        assert!(names(&disk).is_empty());
+    }
+
+    #[test]
+    fn a_gap_before_the_first_frame_is_pruned_history_unless_the_chain_starts_at_segment_1() {
+        for first in [1, 2] {
+            let mut disk = MemDisk::new();
+            let mut wal = Wal::new(first);
+            wal.append(&mut disk, &rec(5)).unwrap();
+            wal.append(&mut disk, &rec(6)).unwrap();
+            wal.sync(&mut disk).unwrap();
+            let image = disk.read(&segment_name(first)).unwrap();
+            let replay = Wal::replay(&mut disk, 3);
+            let left = disk.read(&segment_name(first)).unwrap();
+            if first == 1 {
+                // Never pruned: frames were lost, repaired like any gap.
+                let replay = replay.unwrap();
+                assert!(replay.records.is_empty());
+                assert!(replay.damage[0].contains("lsn gap"));
+                assert!(left.is_empty());
+            } else {
+                let err = StorageError::HistoryPruned {
+                    need_lsn: 4,
+                    first_lsn: 5,
+                };
+                assert_eq!(replay.unwrap_err(), err);
+                assert_eq!(left, image);
+            }
+        }
+    }
+
+    #[test]
     fn rotation_splits_segments_and_replay_spans_them() {
         let mut disk = MemDisk::new();
         let mut wal = Wal::new(1);
@@ -480,6 +589,6 @@ mod tests {
         assert_eq!(Wal::segments(&disk).len(), 2);
         let replay = Wal::replay(&mut disk, 0).unwrap();
         assert_eq!(replay.records.len(), 2);
-        assert_eq!(replay.last_segment, 2);
+        assert_eq!(replay.segments, BTreeMap::from([(1, 1), (2, 2)]));
     }
 }
